@@ -13,6 +13,7 @@ engines (:mod:`repro.core`), which the plane calls back into.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Callable, Protocol
 
 from repro.circuits.circuit import Circuit, CircuitState, CircuitTable
@@ -49,6 +50,9 @@ class CircuitOwnerEngine(Protocol):
 
 ChannelKey = tuple[int, int, int]  # (node, out_port, switch)
 
+# Kinds of transfer timeline event, in the order they fire within a cycle.
+_RATE, _DELIVER, _COMPLETE = 0, 1, 2
+
 
 class WavePlane:
     """Control and data plane for the wave-switched subsystem S1..Sk."""
@@ -71,7 +75,14 @@ class WavePlane:
         self.table = CircuitTable()
         self.probes: list[Probe] = []
         self.control_flits: list[ControlFlit] = []
-        self.transfers: list[WaveTransfer] = []
+        self.transfers: list[WaveTransfer] = []  # in flight, in start order
+        # Transfers are not stepped: start_transfer turns each one's whole
+        # timeline into events ``(cycle, kind, start seq, transfer, change
+        # in flits sent per cycle)`` on this heap.
+        self._transfer_events: list[tuple] = []
+        self._transfers_started = 0
+        self._streaming_rate = 0  # flits per cycle, all transfers together
+        self._transfer_cycle = 0  # next cycle the transfer phase processes
         self._next_probe_id = 1
         self._probes_by_id: dict[int, Probe] = {}
         # Channel claims: freed-channel priority for waiting Force probes.
@@ -423,19 +434,30 @@ class WavePlane:
         """
         if circuit.state is not CircuitState.ESTABLISHED:
             return
-        severed = [
-            t for t in self.transfers if t.circuit is circuit and not t.done
-        ]
+        severed = [t for t in self.transfers if t.circuit is circuit]
         if severed:
-            severed_ids = set(map(id, severed))
             self.transfers = [
-                t for t in self.transfers if id(t) not in severed_ids
+                t for t in self.transfers if t.circuit is not circuit
             ]
+            # Cancel the rest of their timelines.  A timeline's rate
+            # changes sum to zero, so adding back the pending ones takes
+            # out exactly what the transfer streams per cycle right now;
+            # flits sent in earlier cycles stay counted.
+            pending = []
+            for event in self._transfer_events:
+                if event[3].circuit is circuit:
+                    self._streaming_rate += event[4]
+                else:
+                    pending.append(event)
+            heapify(pending)
+            self._transfer_events[:] = pending
         for transfer in severed:
             message = transfer.message
             if (
                 not message.delivery_notified
-                and transfer.delivered_at >= 0
+                # delivered_at is known from the start; it counts only
+                # once the transfer phase has sent the tail.
+                and transfer.last_sent_cycle < self._transfer_cycle
                 and cycle >= transfer.delivered_at
             ):
                 # The tail already reached the destination; only the
@@ -549,6 +571,24 @@ class WavePlane:
             start_cycle=cycle,
         )
         self.transfers.append(transfer)
+        # Nothing can block an established circuit, so the timeline is
+        # fixed now.  A transfer started before this cycle's transfer
+        # phase streams from this cycle, one started by a completion
+        # callback inside the phase from the next.  Only the timeline's
+        # outcome is recorded on the transfer (completed_at once it
+        # happens); sent / acked are advance()'s working state.
+        plan = transfer.schedule(max(cycle, self._transfer_cycle))
+        transfer.last_sent_cycle = plan.last_sent_cycle
+        transfer.delivered_at = plan.delivered_at
+        seq = self._transfers_started
+        self._transfers_started = seq + 1
+        events = self._transfer_events
+        flits = 0
+        for at, per_cycle in plan.steps:
+            heappush(events, (at, _RATE, seq, transfer, per_cycle - flits))
+            flits = per_cycle
+        heappush(events, (plan.delivered_at, _DELIVER, seq, transfer, 0))
+        heappush(events, (plan.completed_at, _COMPLETE, seq, transfer, 0))
         if self.log is not None:
             self.log.emit(cycle, EventKind.TRANSFER_START, circuit.src,
                           circuit.circuit_id, msg=message.msg_id,
@@ -576,6 +616,8 @@ class WavePlane:
                 probe.step(self, cycle)
 
     def _step_control_flits(self, cycle: int) -> None:
+        if not self.control_flits:
+            return
         hop_delay = self.config.setup_hop_delay
         finished: list[ControlFlit] = []
         for flit in list(self.control_flits):
@@ -645,40 +687,50 @@ class WavePlane:
             ]
 
     def _step_transfers(self, cycle: int) -> None:
-        done: list[WaveTransfer] = []
-        for transfer in self.transfers:
-            self.work_done += transfer.advance(cycle)
-            if (
-                transfer.delivered_at >= 0
-                and not transfer.message.delivery_notified
-                and cycle >= transfer.delivered_at
-            ):
-                transfer.message.delivery_notified = True
-                if self.deliver_message is not None:
-                    self.deliver_message(transfer.message, transfer.delivered_at)
-                self.work_done += 1
-            if transfer.done:
-                done.append(transfer)
-        if done:
-            done_ids = set(map(id, done))
-            self.transfers = [
-                t for t in self.transfers if id(t) not in done_ids
-            ]
-        for transfer in done:
-            circuit = transfer.circuit
-            circuit.in_use = False
-            circuit.uses += 1
-            circuit.flits_streamed += transfer.length
-            for key in circuit.hop_channels():
-                self.streamed_by_channel[key] = (
-                    self.streamed_by_channel.get(key, 0) + transfer.length
-                )
-            if self.log is not None:
-                self.log.emit(cycle, EventKind.TRANSFER_COMPLETE, circuit.src,
-                              transfer.message.msg_id,
-                              circuit=circuit.circuit_id)
-            self.stats.bump("wave.transfers_completed")
-            self._engine(circuit.src).transfer_completed(transfer, cycle)
+        """Fire the timeline events due and credit this cycle's flits.
+
+        Same-cycle order is the heap's: rate changes, then deliveries in
+        transfer start order, then completions in start order.  Work is
+        credited every cycle, not at completion: the progress monitors
+        read a cycle without work as a stall.
+        """
+        self._transfer_cycle = cycle + 1
+        events = self._transfer_events
+        while events and events[0][0] <= cycle:
+            _, kind, _, transfer, rate_change = heappop(events)
+            if kind == _RATE:
+                self._streaming_rate += rate_change
+            elif kind == _DELIVER:
+                message = transfer.message
+                # A retransmitted copy of a delivered message stays silent.
+                if not message.delivery_notified:
+                    message.delivery_notified = True
+                    if self.deliver_message is not None:
+                        self.deliver_message(message, transfer.delivered_at)
+                    self.work_done += 1
+            else:
+                self._complete_transfer(transfer, cycle)
+        self.work_done += self._streaming_rate
+
+    def _complete_transfer(self, transfer: WaveTransfer, cycle: int) -> None:
+        """The last ack is back: clear the In-use bit, tell the engine
+        (which may start the next transfer; it streams from cycle + 1)."""
+        transfer.completed_at = cycle
+        self.transfers = [t for t in self.transfers if t is not transfer]
+        circuit = transfer.circuit
+        circuit.in_use = False
+        circuit.uses += 1
+        circuit.flits_streamed += transfer.length
+        for key in circuit.hop_channels():
+            self.streamed_by_channel[key] = (
+                self.streamed_by_channel.get(key, 0) + transfer.length
+            )
+        if self.log is not None:
+            self.log.emit(cycle, EventKind.TRANSFER_COMPLETE, circuit.src,
+                          transfer.message.msg_id,
+                          circuit=circuit.circuit_id)
+        self.stats.bump("wave.transfers_completed")
+        self._engine(circuit.src).transfer_completed(transfer, cycle)
 
     # -- idleness ---------------------------------------------------------------
 

@@ -18,15 +18,26 @@ of blocking.  What remains is:
   Too small a window for a long circuit throttles the stream exactly as
   the paper warns ("this protocol requires deep delivery buffers").
 
-The transfer is advanced cycle by cycle with a fractional-rate
-accumulator; all arithmetic is integer-exact for rational rates.
+Nothing can block an established circuit, so a transfer's whole
+timeline is fixed the moment it wins the In-use bit.
+:meth:`WaveTransfer.advance` is the executable spec of that timeline: one
+base cycle at a time, with a float rate accumulator.  The plane does not
+call it per cycle; it asks :meth:`WaveTransfer.schedule` for the timeline
+once, at start.  An integral rate whose window covers the round trip
+never throttles and has a closed form.  Any other transfer (a window
+below ``rate * rtt``, a fractional rate) gets its schedule by replaying
+``advance()`` to completion on a scratch copy.  The accumulator is exact
+for integral rates only: a rate such as 4/3 accumulates to 3.99.. where
+exact rationals would reach 4, and sends that flit one cycle later.  That
+send pattern is part of the model (stored results depend on it), which is
+why fractional rates are replayed and never computed as ``floor(k * rate)``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.errors import ProtocolError
 
@@ -35,15 +46,41 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.network.message import Message
 
 
+class TransferSchedule(NamedTuple):
+    """A transfer's whole timeline, as :meth:`WaveTransfer.advance` would
+    produce it stepped every cycle from its first streaming cycle on.
+
+    ``steps`` is the per-cycle send count in run-length form: ``(cycle,
+    flits)`` says the transfer sends ``flits`` per cycle from ``cycle``
+    until the next entry's cycle.  The first entry is at the first
+    streaming cycle, the last is ``(last_sent_cycle + 1, 0)``.
+    """
+
+    steps: tuple[tuple[int, int], ...]
+    last_sent_cycle: int
+    delivered_at: int
+    completed_at: int
+
+    def sends(self) -> list[int]:
+        """Flits sent in each cycle, first streaming cycle through
+        ``completed_at``."""
+        out: list[int] = []
+        for (cycle, flits), (until, _) in zip(self.steps, self.steps[1:]):
+            out.extend([flits] * (until - cycle))
+        out.extend([0] * (self.completed_at - self.last_sent_cycle))
+        return out
+
+
 @dataclass
 class WaveTransfer:
     """One message streaming over one established circuit.
 
     Lifecycle: created when the source NI wins the circuit's In-use bit;
-    :meth:`advance` is called every base cycle; ``delivered_at`` fires when
-    the last flit reaches the destination; ``completed_at`` (last ack back
-    at the source) is when the In-use bit clears and the circuit becomes
-    releasable again.
+    ``delivered_at`` fires when the last flit reaches the destination;
+    ``completed_at`` (last ack back at the source) is when the In-use bit
+    clears and the circuit becomes releasable again.  Either
+    :meth:`advance` is called every base cycle from the first streaming
+    cycle on, or :meth:`schedule` computes the same timeline in one go.
     """
 
     message: "Message"
@@ -114,6 +151,47 @@ class WaveTransfer:
             if cycle >= self.last_sent_cycle + self.rtt:
                 self.completed_at = cycle
         return moved
+
+    def schedule(self, first: int) -> TransferSchedule:
+        """The timeline of this (not yet advanced) transfer if its first
+        :meth:`advance` call is at cycle ``first``.  Does not mutate it.
+
+        With an integral rate ``r`` and ``window >= r * max(rtt, 1)`` the
+        window never binds: at most ``r * (rtt - 1)`` flits are unacked
+        when a cycle starts, so ``r`` more always fit, and the transfer
+        sends ``r`` flits for ``length // r`` cycles and then the rest.
+        Everything else is replayed through :meth:`advance`.
+        """
+        rate, length = self.rate, self.length
+        if float(rate).is_integer() and self.window >= rate * max(self.rtt, 1):
+            per_cycle = int(rate)
+            full, rest = divmod(length, per_cycle)
+            steps = [(first, per_cycle)] if full else []
+            if rest:
+                steps.append((first + full, rest))
+            last_sent = first + full if rest else first + full - 1
+        else:
+            replay = WaveTransfer(
+                self.message, self.circuit, rate, self.window,
+                self.pipe_delay, self.start_cycle,
+            )
+            steps = []
+            cycle = first
+            while not replay.done:
+                moved = replay.advance(cycle)
+                if not steps or moved != steps[-1][1]:
+                    steps.append((cycle, moved))
+                cycle += 1
+            last_sent = replay.last_sent_cycle
+            if steps[-1][1] == 0:  # the ack drain after the last flit
+                steps.pop()
+        steps.append((last_sent + 1, 0))
+        return TransferSchedule(
+            steps=tuple(steps),
+            last_sent_cycle=last_sent,
+            delivered_at=last_sent + self.pipe_delay,
+            completed_at=last_sent + self.rtt,
+        )
 
 
 def recommended_window(topology, config) -> int:

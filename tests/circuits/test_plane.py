@@ -12,6 +12,7 @@ from helpers import build_plane, run_plane, run_until_idle
 from repro.circuits.circuit import CircuitState
 from repro.circuits.control import ControlFlitKind
 from repro.circuits.pcs_unit import ChannelStatus
+from repro.circuits.wave import WaveTransfer
 from repro.errors import ProtocolError
 from repro.network.message import Message
 
@@ -167,6 +168,157 @@ class TestTransfers:
         run_until_idle(plane, 101)
         assert transfer.pipe_delay == circuit.length * 2
         assert delivered[0] == transfer.last_sent_cycle + transfer.pipe_delay
+
+    # -- event-scheduled timelines ----------------------------------------
+
+    @staticmethod
+    def replayed_sends(transfer, first):
+        """Per-cycle flits of ``advance()`` stepped from ``first`` on."""
+        spec = WaveTransfer(
+            transfer.message, transfer.circuit, transfer.rate,
+            transfer.window, transfer.pipe_delay, transfer.start_cycle,
+        )
+        sends = []
+        cycle = first
+        while not spec.done:
+            sends.append(spec.advance(cycle))
+            cycle += 1
+        return sends, spec
+
+    def test_same_cycle_events_keep_start_order(self):
+        """Two transfers of equal length over equally long circuits,
+        started in the same cycle: both deliveries fire (in start order)
+        before either completion (in start order)."""
+        topo, plane, engines, stats = build_plane()
+        order = []
+        plane.deliver_message = lambda msg, cycle: order.append(
+            ("deliver", msg.msg_id, cycle)
+        )
+        # Started second-circuit-first so start order != circuit id order.
+        c1 = establish(plane, 0, 3)
+        c2 = establish(plane, 12, 15, cycle=30)
+        assert c1.length == c2.length
+        for engine in engines:
+            engine.transfer_completed = lambda t, cycle: order.append(
+                ("complete", t.message.msg_id, cycle)
+            )
+        plane.start_transfer(
+            c2, Message(msg_id=7, src=12, dst=15, length=64, created=0), 60
+        )
+        plane.start_transfer(
+            c1, Message(msg_id=3, src=0, dst=3, length=64, created=0), 60
+        )
+        run_until_idle(plane, 60)
+        kinds = [(kind, msg) for kind, msg, _ in order]
+        assert kinds == [
+            ("deliver", 7), ("deliver", 3), ("complete", 7), ("complete", 3)
+        ]
+        assert order[0][2] == order[1][2] and order[2][2] == order[3][2]
+
+    def test_chained_transfer_first_streams_next_cycle(self):
+        """A transfer started from ``transfer_completed`` is inside the
+        transfer phase of cycle c, which is over for it: it streams from
+        c + 1.  One started before the phase streams from c itself."""
+        topo, plane, engines, stats = build_plane()
+        circuit = establish(plane, 0, 5)
+        second = Message(msg_id=2, src=0, dst=5, length=32, created=0)
+        chained = []
+        engines[0].transfer_completed = lambda t, cycle: (
+            chained or chained.append(
+                (plane.start_transfer(circuit, second, cycle), cycle)
+            )
+        )
+        first = plane.start_transfer(
+            circuit, Message(msg_id=1, src=0, dst=5, length=32, created=0), 50
+        )
+        before = plane.work_done
+        plane.step(50)
+        assert plane.work_done - before == 4  # streams in its start cycle
+        run_until_idle(plane, 51)
+        (transfer, completed_cycle), = chained
+        assert completed_cycle == first.completed_at
+        _, spec = self.replayed_sends(transfer, completed_cycle + 1)
+        assert transfer.last_sent_cycle == spec.last_sent_cycle
+        assert transfer.delivered_at == spec.delivered_at
+        assert transfer.completed_at == spec.completed_at
+
+    @pytest.mark.parametrize("window", [256, 8])
+    def test_per_cycle_work_equals_replayed_advance(self, window):
+        """Work is credited in the cycle the flits are sent (the progress
+        monitors read a workless cycle as a stall), throttled or not."""
+        topo, plane, engines, stats = build_plane(window=window)
+        circuit = establish(plane, 0, topo.node_at((3, 3)))
+        msg = Message(msg_id=1, src=0, dst=circuit.dst, length=150, created=0)
+        transfer = plane.start_transfer(circuit, msg, 100)
+        throttled = window < transfer.rate * transfer.rtt
+        assert throttled == (window == 8)
+        sends, spec = self.replayed_sends(transfer, 100)
+        expected = list(sends)
+        expected[spec.delivered_at - 100] += 1  # the delivery itself
+        trajectory = []
+        for cycle in range(100, 100 + len(sends)):
+            before = plane.work_done
+            plane.step(cycle)
+            trajectory.append(plane.work_done - before)
+        assert trajectory == expected
+        assert sum(sends) == 150
+        assert plane.is_idle()
+        assert transfer.completed_at == spec.completed_at
+        assert engines[0].transfers_done == [(transfer, spec.completed_at)]
+
+    @pytest.mark.parametrize("window", [256, 8])
+    def test_fault_teardown_mid_stream_cancels_the_timeline(self, window):
+        topo, plane, engines, stats = build_plane(window=window)
+        delivered = []
+        plane.deliver_message = lambda msg, cycle: delivered.append(msg)
+        circuit = establish(plane, 0, topo.node_at((3, 3)))
+        bystander = establish(plane, 12, 13, cycle=40)
+        msg = Message(msg_id=1, src=0, dst=circuit.dst, length=400, created=0)
+        other = Message(msg_id=2, src=12, dst=13, length=400, created=0)
+        transfer = plane.start_transfer(circuit, msg, 100)
+        kept = plane.start_transfer(bystander, other, 100)
+        sends, _ = self.replayed_sends(transfer, 100)
+        kept_sends, _ = self.replayed_sends(kept, 100)
+        before = plane.work_done
+        run_plane(plane, 100, 20)
+        assert plane.work_done - before == sum(sends[:20]) + sum(kept_sends[:20])
+        # The link dies at the top of cycle 120, before its transfer phase.
+        plane.fault_teardown(circuit, 120)
+        assert plane.transfers == [kept]
+        assert all(event[3] is kept for event in plane._transfer_events)
+        assert stats.count("wave.transfers_severed") == 1
+        assert [loss.msg_id for loss in stats.losses] == [1]
+        assert engines[0].faults == [(circuit, 120)]
+        # From here on only the bystander streams: flits the severed
+        # transfer sent stay counted, the rest never are.
+        before = plane.work_done
+        plane.step(120)  # the fault's TEARDOWN control flit is not due yet
+        assert plane.work_done - before == kept_sends[20]
+        run_until_idle(plane, 121)
+        assert delivered == [other]
+        assert plane._streaming_rate == 0 and not plane._transfer_events
+
+    def test_fault_after_delivery_delivers_instead_of_losing(self):
+        """Tail already at the destination, window acks still draining:
+        the fault cuts the circuit but the message counts as delivered."""
+        topo, plane, engines, stats = build_plane(wire_delay=4)
+        delivered = []
+        plane.deliver_message = lambda msg, cycle: delivered.append(
+            (msg.msg_id, cycle)
+        )
+        circuit = establish(plane, 0, topo.node_at((0, 3)))
+        msg = Message(msg_id=1, src=0, dst=circuit.dst, length=16, created=0)
+        transfer = plane.start_transfer(circuit, msg, 100)
+        assert transfer.delivered_at > transfer.last_sent_cycle >= 100
+        run_plane(plane, 100, transfer.delivered_at - 100)
+        # The delivery event is due in this cycle's transfer phase; the
+        # fault comes first and must do the delivering itself.
+        assert not delivered
+        plane.fault_teardown(circuit, transfer.delivered_at)
+        assert delivered == [(1, transfer.delivered_at)]
+        assert stats.count("wave.transfers_cut_after_delivery") == 1
+        assert stats.count("wave.transfers_severed") == 0
+        assert not plane._transfer_events
 
 
 class TestIdleness:

@@ -77,6 +77,21 @@ class TestTiming:
         deltas = [b - a for a, b in zip(sent_at, sent_at[1:])]
         assert all(d == 2 for d in deltas)
 
+    def test_four_thirds_rate_send_pattern_is_pinned(self):
+        """The accumulator is a float: 3 * (4/3) reaches 3.99.., not 4, so
+        the 4th flit leaves one cycle later than exact rationals would
+        send it ([1, 1, 2, 1, 1, 2, ...]).  Stored results depend on this
+        pattern; neither a closed form nor a cleanup may "fix" it."""
+        pattern = [1, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1, 1]
+        t = make_transfer(length=24, rate=4 / 3, window=256, pipe=2)
+        assert [t.advance(cycle) for cycle in range(len(pattern))] == pattern
+        assert t.last_sent_cycle == 18  # exact rationals would finish at 17
+        plan = make_transfer(
+            length=24, rate=4 / 3, window=256, pipe=2
+        ).schedule(0)
+        assert plan.sends() == pattern + [0] * 4
+        assert plan.completed_at == 18 + 4
+
     def test_window_throttles_long_circuit(self):
         """window < rate * rtt must slow the transfer down."""
         fast = make_transfer(length=256, rate=4.0, window=1024, pipe=8)
@@ -135,6 +150,48 @@ class TestProperties:
         assert t.sent == length
         assert t.delivered_at == t.last_sent_cycle + pipe
         assert t.completed_at >= t.delivered_at
+
+    @given(
+        length=st.integers(1, 400),
+        rate=st.sampled_from([0.5, 1.0, 2.0, 4.0, 8.0, 4 / 3]),
+        # Both sides of rate * rtt for every rate and pipe, and equality.
+        window=st.integers(1, 300),
+        pipe=st.integers(0, 12),
+        first=st.sampled_from([0, 5]),
+    )
+    def test_schedule_equals_stepping_advance(
+        self, length, rate, window, pipe, first
+    ):
+        """schedule() is advance() run ahead of time: same flits in the
+        same cycles, same delivery and completion cycle, closed form or
+        replayed."""
+        t = make_transfer(length=length, rate=rate, window=window, pipe=pipe)
+        plan = t.schedule(first)
+        assert t.sent == 0 and not t.done and t.delivered_at < 0
+        sends = []
+        cycle = first
+        while not t.done:
+            sends.append(t.advance(cycle))
+            cycle += 1
+            assert cycle - first < 100_000
+        assert plan.sends() == sends
+        assert plan.steps[0][0] == first
+        assert plan.last_sent_cycle == t.last_sent_cycle
+        assert plan.delivered_at == t.delivered_at
+        assert plan.completed_at == t.completed_at
+
+    @pytest.mark.parametrize("rate", [1.0, 2.0, 4.0, 8.0])
+    @pytest.mark.parametrize("pipe", [0, 1, 5])
+    def test_closed_form_boundary_is_exact(self, rate, pipe):
+        """window == rate * max(rtt, 1) is the smallest window that never
+        throttles; one flit less does (the replayed side of the line)."""
+        edge = int(rate) * max(2 * pipe, 1)
+        unthrottled = math.ceil(200 / rate)
+        at_edge = make_transfer(200, rate, edge, pipe).schedule(0)
+        assert at_edge.last_sent_cycle + 1 == unthrottled
+        if edge > 1:
+            below = make_transfer(200, rate, edge - 1, pipe).schedule(0)
+            assert below.last_sent_cycle + 1 > unthrottled
 
     @given(
         length=st.integers(1, 300),

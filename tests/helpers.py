@@ -24,6 +24,7 @@ class StubEngine:
         self.release_requests = []
         self.released = []
         self.transfers_done = []
+        self.faults = []
         self.auto_release = True  # honour release requests immediately
 
     def circuit_established(self, circuit, cycle):
@@ -42,6 +43,9 @@ class StubEngine:
 
     def transfer_completed(self, transfer, cycle):
         self.transfers_done.append((transfer, cycle))
+
+    def circuit_fault(self, circuit, cycle):
+        self.faults.append((circuit, cycle))
 
 
 def build_plane(dims=(4, 4), **wave_kwargs):
