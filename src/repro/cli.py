@@ -127,14 +127,19 @@ def build_config(args: argparse.Namespace, protocol: str | None = None) -> Netwo
         dims=parse_dims(args.dims),
         protocol=protocol,
         wormhole=WormholeConfig(
-            vcs=args.vcs, buffer_depth=args.buffer_depth, routing=args.routing
+            vcs=args.vcs, routing=args.routing,
+            buffer_depth=getattr(
+                args, "buffer_depth", WormholeConfig.buffer_depth
+            ),
         ),
         wave=wave,
-        seed=args.seed,
+        # verify-cdg takes the network flags only: what a simulation run
+        # alone reads falls back to the config's own defaults.
+        seed=getattr(args, "seed", NetworkConfig.seed),
         reliability=(
             ReliabilityConfig() if getattr(args, "reliable", False) else None
         ),
-        backend=getattr(args, "backend", "active"),
+        backend=getattr(args, "backend", NetworkConfig.backend),
     )
 
 
@@ -859,100 +864,42 @@ def _check_certificate_dir(directory: str) -> int:
 def cmd_verify_cdg(args: argparse.Namespace) -> int:
     """Statically prove (or refute) deadlock freedom for configurations.
 
-    Builds the extended channel-dependency graph from topology + routing
-    + protocol config alone -- no simulation -- and checks the
-    resource-separation conditions of Theorems 1-2.  ``--backend smt``
-    swaps the cycle search for the exact rank/subrelation prover (with
-    machine-checkable certificates); ``--backend both`` runs both and
-    audits disagreements -- a config the search flags cyclic but the
-    prover certifies free is the union graph's over-approximation being
-    resolved, not a false alarm.  Exit 0 when every checked
-    configuration is provably deadlock-free (or, under
-    ``--expect-cyclic``, when the chosen backend refutes it).
+    For each configuration: walk the designated dependency graph once
+    from topology + routing + protocol config alone -- no simulation --
+    run the resource-separation leg of Theorems 1-2 on it, climb the
+    proof ladder from it, print one report naming the rung that decided,
+    and emit the certificate.  Exit 0 when every checked configuration
+    passes the separation leg and is provably deadlock-free (or, under
+    ``--expect-cyclic``, refuted).
     """
-    from repro.verify.cdg import (
-        analyze_config,
-        config_topology,
-        format_report,
-    )
+    from repro.verify.cdg import designated_graph, separation_leg
     from repro.verify.smt import (
         certificate_slug,
+        climb_ladder,
         dump_certificate,
         dump_rejection_specs,
-        format_smt_report,
-        have_z3,
-        verify_config,
+        format_report,
     )
 
     if args.check_certificates:
         return _check_certificate_dir(args.check_certificates)
 
-    run_search = args.backend in ("search", "both")
-    run_smt = args.backend in ("smt", "both")
-    if run_smt and args.engine == "auto" and not have_z3():
-        print("note: z3-solver not installed; using the native exact "
-              "rank engine (same constraints, same certificates)")
-    # The subcommand's --backend picks the *verifier*; restore the
-    # stepping-core default so build_config stays valid.
-    build_args = argparse.Namespace(**{**vars(args), "backend": "active"})
-    configs = (
-        _shipped_verify_configs() if args.all else [build_config(build_args)]
-    )
+    configs = _shipped_verify_configs() if args.all else [build_config(args)]
     failures = 0
-    resolved = 0
     for config in configs:
         print(f"== {config.describe()}")
-        search_ok = smt_ok = None
-        search_report = smt_report = None
-        if run_search:
-            search_report = analyze_config(
-                config, assume_classes=args.assume_classes
+        graph = designated_graph(config, args.assume_classes)
+        checks = separation_leg(graph)
+        report = climb_ladder(graph, args.engine)
+        print(format_report(report, checks))
+        if args.emit_certificates:
+            slug = certificate_slug(config, args.assume_classes)
+            path = dump_certificate(
+                report.certificate,
+                Path(args.emit_certificates) / f"{slug}.json",
             )
-            print(format_report(search_report, config_topology(config)))
-            search_ok = search_report.ok
-        if run_smt:
-            smt_report = verify_config(
-                config,
-                assume_classes=args.assume_classes,
-                engine=args.engine,
-            )
-            print(format_smt_report(smt_report))
-            smt_ok = smt_report.deadlock_free
-            if args.emit_certificates:
-                slug = certificate_slug(config, args.assume_classes)
-                path = dump_certificate(
-                    smt_report.certificate,
-                    Path(args.emit_certificates) / f"{slug}.json",
-                )
-                print(f"  certificate -> {path}")
-        if args.backend == "both":
-            # Disagreement audit.  The search over-approximates adaptive
-            # configs, so "search cyclic + SMT conclusively free" is the
-            # expected resolution, counted as success.  The reverse --
-            # search proves free, exact prover refutes -- would mean the
-            # analyzer is unsound and always fails the run.
-            if not search_ok and smt_ok and smt_report.conclusive:
-                resolved += 1
-                print("  audit: cycle search over-approximates here; the "
-                      f"'{smt_report.subfunction}' subfunction proof "
-                      "resolves it (config is deadlock-free)")
-            elif search_ok and not smt_ok:
-                print("  audit: DISAGREEMENT -- search proves free but "
-                      "the exact prover refutes; treat as analyzer "
-                      "unsoundness", file=sys.stderr)
-                failures += 1
-                print()
-                continue
-            ok = smt_ok
-        else:
-            ok = smt_ok if run_smt else search_ok
-        if args.expect_cyclic:
-            refuted = (
-                not smt_report.deadlock_free if run_smt
-                else not search_report.acyclic
-            )
-            ok = refuted
-        if not ok and run_smt and args.seed_fuzzer:
+            print(f"  certificate -> {path}")
+        if not report.deadlock_free and args.seed_fuzzer:
             if args.assume_classes is None:
                 specs = dump_rejection_specs(config, args.seed_fuzzer)
                 print(f"  seeded {len(specs)} fuzzer scenario(s) under "
@@ -961,14 +908,16 @@ def cmd_verify_cdg(args: argparse.Namespace) -> int:
                 print("  (not seeding the fuzzer: --assume-classes "
                       "analyses a counterfactual discipline the runtime "
                       "does not implement)")
+        # A failed separation check fails the config whichever rung
+        # proved (or, under --expect-cyclic, refuted) it.
+        ok = report.deadlock_free != args.expect_cyclic and all(
+            check.passed for check in checks
+        )
         failures += not ok
         print()
     verdict = "cyclic as expected" if args.expect_cyclic else "deadlock-free"
     print(f"{len(configs) - failures}/{len(configs)} configurations "
           f"{verdict}")
-    if resolved:
-        print(f"({resolved} adaptive config(s) resolved past the union "
-              "graph's over-approximation by subfunction proofs)")
     return 0 if not failures else 1
 
 
@@ -1056,27 +1005,14 @@ def make_parser() -> argparse.ArgumentParser:
                              "logger names); give before the subcommand")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_network(p: argparse.ArgumentParser) -> None:
+        """What shapes the network (and so its dependency graph)."""
         p.add_argument("--topology", default="mesh",
                        choices=list(registered_topologies()))
         p.add_argument("--dims", default="8x8",
                        help="e.g. 8x8, 2x2x2x2, 16 (fullmesh), 4x4 (min)")
-        p.add_argument("--pattern", default="uniform",
-                       help="uniform|transpose|bit_reversal|bit_complement|"
-                            "neighbor|permutation|hotspot")
-        p.add_argument("--length", type=int, default=64, help="flits/message")
-        p.add_argument("--duration", type=int, default=5000,
-                       help="injection window (cycles)")
-        p.add_argument("--max-cycles", type=int, default=300_000)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--vcs", type=int, default=2)
-        p.add_argument("--buffer-depth", type=int, default=4)
         p.add_argument("--routing", default="dor", choices=["dor", "adaptive"])
-        p.add_argument("--backend", default="active",
-                       choices=["reference", "active", "vectorized"],
-                       help="stepping core: reference O(N) loop, active-set"
-                            " object core, or vectorized struct-of-arrays"
-                            " core (all bit-identical)")
         p.add_argument("--wave-switches", type=int, default=2)
         p.add_argument("--misroute-budget", type=int, default=2)
         p.add_argument("--wave-clock-ratio", type=float, default=4.0)
@@ -1087,6 +1023,24 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--clrp-variant", default="standard",
                        choices=["standard", "eager_force", "single_switch",
                                 "immediate_force"])
+
+    def add_common(p: argparse.ArgumentParser) -> None:
+        """The network plus what only a simulation run reads."""
+        add_network(p)
+        p.add_argument("--pattern", default="uniform",
+                       help="uniform|transpose|bit_reversal|bit_complement|"
+                            "neighbor|permutation|hotspot")
+        p.add_argument("--length", type=int, default=64, help="flits/message")
+        p.add_argument("--duration", type=int, default=5000,
+                       help="injection window (cycles)")
+        p.add_argument("--max-cycles", type=int, default=300_000)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--buffer-depth", type=int, default=4)
+        p.add_argument("--backend", default="active",
+                       choices=["reference", "active", "vectorized"],
+                       help="stepping core: reference O(N) loop, active-set"
+                            " object core, or vectorized struct-of-arrays"
+                            " core (all bit-identical)")
         p.add_argument("--deadlock-check", type=int, default=0,
                        help="check interval in cycles; 0 = off")
         p.add_argument("--progress-timeout", type=int, default=0,
@@ -1209,12 +1163,8 @@ def make_parser() -> argparse.ArgumentParser:
         "verify-cdg",
         help="statically verify deadlock freedom via the extended "
              "channel-dependency graph (no simulation)",
-        # verify-cdg never simulates, so the common stepping-core
-        # --backend is meaningless here; "resolve" lets the verifier
-        # --backend below replace it.
-        conflict_handler="resolve",
     )
-    add_common(cdg_p)
+    add_network(cdg_p)
     cdg_p.add_argument("--protocol", default="clrp",
                        choices=["wormhole", "clrp", "carp"])
     cdg_p.add_argument("--all", action="store_true",
@@ -1225,23 +1175,16 @@ def make_parser() -> argparse.ArgumentParser:
                             "analysis assumes (e.g. 1 to demonstrate the "
                             "torus ring cycle)")
     cdg_p.add_argument("--expect-cyclic", action="store_true",
-                       help="invert the verdict: exit 0 only if a cycle "
-                            "IS found (CI check for the analyzer itself)")
-    cdg_p.add_argument("--backend", default="search",
-                       choices=["search", "smt", "both"],
-                       help="'search' = extended-CDG cycle search (may "
-                            "over-approximate adaptive configs); 'smt' = "
-                            "exact rank/subrelation verification with "
-                            "certificates; 'both' = run both and audit "
-                            "disagreements")
-    cdg_p.add_argument("--engine", default="auto",
-                       choices=["auto", "z3", "native"],
-                       help="SMT engine: 'auto' prefers z3 and falls back "
-                            "to the native exact rank engine when z3 is "
-                            "not installed")
+                       help="invert the verdict: exit 0 only if the config "
+                            "IS refuted (CI check for the prover itself)")
+    cdg_p.add_argument("--engine", default="native",
+                       choices=["native", "z3"],
+                       help="'native' = the exact rank engine that decides "
+                            "every verdict; 'z3' = also discharge the same "
+                            "constraints with z3-solver, which must agree")
     cdg_p.add_argument("--emit-certificates", metavar="DIR", default=None,
                        help="write a machine-checkable JSON certificate "
-                            "per config to DIR (smt/both backends)")
+                            "per config to DIR")
     cdg_p.add_argument("--check-certificates", metavar="DIR", default=None,
                        help="replay every certificate in DIR against the "
                             "current code without a solver and exit; "

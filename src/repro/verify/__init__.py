@@ -12,16 +12,17 @@
   distributed register state (PCS units, Circuit Caches) to the global
   circuit table; run by tests after every scenario.
 * :mod:`repro.verify.cdg` -- *static* extended channel-dependency-graph
-  analysis: proves Theorems 1-2 from topology + routing + protocol
-  config alone, no simulation.
+  analysis from topology + routing + protocol config alone, no
+  simulation: the one route walker, the routing subfunctions it is
+  handed, and the resource-separation leg of Theorems 1-2.
 * :mod:`repro.verify.fuzz` -- property-based protocol fuzzing under a
   per-cycle invariant harness, with failure shrinking to minimal
   replayable JobSpecs.
-* :mod:`repro.verify.smt` -- exact SMT-style verification (z3 when
-  installed, a native rank engine always): per-channel rank proofs of
-  acyclicity, escape-channel verification and valid-subrelation search
-  for adaptive configs, machine-checkable JSON certificates replayable
-  without a solver, and fuzzer seeding for rejected configs.
+* :mod:`repro.verify.smt` -- the proof ladder over those graphs
+  (acyclicity / escape, valid subrelation, family-exhausted rejection),
+  decided by a native per-channel rank engine with z3 as an optional
+  cross-check; machine-checkable JSON certificates replayable without a
+  solver, and fuzzer seeding for rejected configs.
 """
 
 from repro.verify.cdg import (
@@ -29,7 +30,6 @@ from repro.verify.cdg import (
     analyze_config,
     build_cdg,
     find_cycle,
-    format_report,
 )
 from repro.verify.deadlock import (
     assert_no_deadlock,
@@ -55,7 +55,7 @@ from repro.verify.smt import (
     SmtReport,
     check_certificate,
     check_certificate_files,
-    format_smt_report,
+    format_report,
     have_z3,
     rejection_jobspecs,
     verify_config,
@@ -90,7 +90,6 @@ __all__ = [
     "find_cycle",
     "find_deadlocked_worms",
     "format_report",
-    "format_smt_report",
     "fuzz_campaign",
     "generate_spec",
     "have_z3",

@@ -14,16 +14,19 @@ The paper's deadlock-freedom argument has two legs:
    Duato-style adaptive routing whose *escape* subfunction is acyclic.
 
 This module checks both legs **statically**, from topology + routing +
-protocol configuration alone, with no simulation: it walks every
-(src, dst) *endpoint* pair's route exactly as the runtime router would
-(the class/dateline discipline is queried from the routing object
-itself, so analyzer and runtime cannot drift), builds the
-channel-dependency graph over
-``(node, port, vc_class)`` vertices, and reports any cycle together with
-the offending channel chain.  For adaptive routing the *extended* CDG is
-built: escape-channel dependencies are chained across adaptive
-intermediate hops, which is exactly the indirect-dependency closure
-Duato's theorem requires to be acyclic.
+protocol configuration alone, with no simulation.  One walker,
+:func:`walk_dependencies`, visits every (src, dst) *endpoint* pair's
+routes exactly as the runtime router would (the class/dateline
+discipline is queried from the routing object itself, so analyzer and
+runtime cannot drift) and builds a dependency graph over
+``(node, port, vc_class)`` vertices.  *Which* graph is decided by the
+routing subfunction handed to it: the designated discipline
+(:class:`EscapeSubfunction` -- the plain CDG of a deterministic routing
+function, the *extended* escape CDG of an adaptive one, with escape
+dependencies chained across adaptive hops as Duato's theorem requires),
+the full relation's union graph (:class:`FullRelation`) or another
+valid subrelation (:class:`RingSplitSubfunction`).  The proof ladder
+over these graphs is :mod:`repro.verify.smt`.
 
 ``assume_classes=1`` deliberately analyses a torus while ignoring its
 dateline discipline -- the classic cyclic configuration -- which is how
@@ -33,11 +36,11 @@ the tests (and CI) prove the analyzer actually finds cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.errors import ConfigError
 from repro.topology import build_topology
-from repro.topology.base import Topology
+from repro.topology.base import CartesianTopology, Topology
 from repro.wormhole.routing import (
     AdaptiveRouting,
     RoutingFunction,
@@ -48,9 +51,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.config import NetworkConfig
 
 
-@dataclass(frozen=True)
-class Channel:
-    """One CDG vertex: a directed link on one virtual-channel class."""
+class Channel(NamedTuple):
+    """One CDG vertex: a directed link on one virtual-channel class.
+
+    A tuple so that hashing and equality -- most of what the walker and
+    the deciders do with channels -- run at C speed.
+    """
 
     node: int
     port: int
@@ -78,9 +84,6 @@ class SeparationCheck:
 class CDGReport:
     """Result of a static analysis run."""
 
-    topology: str
-    routing: str
-    num_classes: int
     num_channels: int
     num_deps: int
     cycle: list[Channel] = field(default_factory=list)
@@ -99,96 +102,231 @@ class CDGReport:
         return " -> ".join(ch.describe(topology) for ch in self.cycle)
 
 
+# -- routing subfunctions (Duato's valid subrelations) --------------------
+#
+# A subfunction tells the walker which channels a header may *wait on* at
+# a state -- ``options(node, dst, bits) -> ((port, vc_class), ...)`` --
+# and whether the full relation's minimal adaptive hops ride along
+# without extending the dependency chain (``free_hops``).
+
+
+def adaptive_class(num_classes: int) -> int:
+    """Pseudo-class id labelling the adaptive VC pool.
+
+    Escape channels carry classes ``0..num_classes-1``; all adaptive VCs
+    are symmetric, so one extra class id suffices -- a cycle exists among
+    the adaptive channels iff it exists with a single representative.
+    """
+    return num_classes
+
+
+class EscapeSubfunction:
+    """The designated discipline: dimension order on the escape classes.
+
+    For a deterministic routing function this *is* the routing function
+    and the walk yields its plain CDG.  Under adaptive routing a worm may
+    take adaptive channels freely and fall through to the escape channel
+    at any hop, so the walk yields the *extended* escape CDG.
+    """
+
+    name = "escape-dor"
+
+    def __init__(self, routing: RoutingFunction, num_classes: int) -> None:
+        self.routing = routing
+        self.num_classes = num_classes
+        self.free_hops = isinstance(routing, AdaptiveRouting)
+
+    def options(
+        self, node: int, dst: int, bits: int
+    ) -> tuple[tuple[int, int], ...]:
+        port = self.routing.topology.dor_port(node, dst)
+        cls = self.routing.hop_class(
+            node, port, bits, num_classes=self.num_classes
+        )
+        return ((port, cls),)
+
+
+class FullRelation:
+    """Every channel an adaptive header may wait on: the union graph.
+
+    With no free hops the walk accumulates *every* direct dependency any
+    route may create -- the single graph a plain loop search (SNIPPETS
+    snippet 3, method ``-b``; Stramaglia et al.'s satisfiability phrasing
+    of the same object) operates on.  It is cyclic for every interesting
+    adaptive config (all turns are permitted), which is exactly the
+    over-approximation the escape/subrelation rungs resolve.
+    """
+
+    name = "union"
+    free_hops = False
+
+    def __init__(self, routing: RoutingFunction, num_classes: int) -> None:
+        self.escape = EscapeSubfunction(routing, num_classes)
+        self.topology = routing.topology
+        self.cls = adaptive_class(num_classes)
+
+    def options(
+        self, node: int, dst: int, bits: int
+    ) -> tuple[tuple[int, int], ...]:
+        return self.escape.options(node, dst, bits) + tuple(
+            (port, self.cls)
+            for port in self.topology.minimal_ports(node, dst)
+        )
+
+
+class RingSplitSubfunction:
+    """Dimension order with per-ring direction choice, over adaptive VCs.
+
+    On a wrapped (torus) dimension whose two minimal directions tie, the
+    escape DOR rule always takes the plus port -- chaining plus links all
+    the way around the ring, which is the classic cycle when no dateline
+    classes are available.  This subfunction breaks the tie by *source
+    parity* instead: even coordinates go plus, odd go minus, so neither
+    direction's links ever chain around a full ring.  Non-tied hops take
+    the strictly-minimal direction (which can never chain a ring either:
+    a route crosses at most half the ring).  All options are served from
+    the adaptive VC pool, so the subfunction is a subrelation of the full
+    adaptive routing relation whatever the escape class discipline says.
+
+    Duato's theorem then applies: if this subfunction is connected and
+    its extended dependency graph (chained across *all* adaptive hops of
+    the full relation) is acyclic, the routing function is deadlock-free
+    -- even when every single-graph cycle search over the union or the
+    escape discipline reports a cycle.
+    """
+
+    name = "ring-split-dor"
+    free_hops = True
+
+    def __init__(self, routing: RoutingFunction, num_classes: int) -> None:
+        # Cartesian with a wrapped dimension: see candidate_subfunctions.
+        self.topology = routing.topology
+        self.cls = adaptive_class(num_classes)
+
+    def options(
+        self, node: int, dst: int, bits: int
+    ) -> tuple[tuple[int, int], ...]:
+        topo = self.topology
+        port = topo.dor_port(node, dst)  # shortest way; ties go plus
+        dim = topo.port_dimension(port)
+        c, radix = topo.coords(node)[dim], topo.dims[dim]
+        tied = topo._wraps(dim) and (
+            2 * ((topo.coords(dst)[dim] - c) % radix) == radix
+        )
+        if tied and c % 2:  # split the ring by source parity
+            port += 1
+        return ((port, self.cls),)
+
+
+def candidate_subfunctions(
+    routing: RoutingFunction, num_classes: int
+) -> list:
+    """The subrelation family, designated discipline first."""
+    candidates: list = [EscapeSubfunction(routing, num_classes)]
+    topology = routing.topology
+    if isinstance(routing, AdaptiveRouting) and isinstance(
+        topology, CartesianTopology
+    ):
+        if any(topology._wraps(d) for d in range(topology.n_dims)):
+            candidates.append(RingSplitSubfunction(routing, num_classes))
+    return candidates
+
+
+def subfunction_by_name(
+    name: str, routing: RoutingFunction, num_classes: int
+):
+    """Resolve a certificate's graph name: a family member or the union."""
+    known = candidate_subfunctions(routing, num_classes)
+    if isinstance(routing, AdaptiveRouting):
+        known.append(FullRelation(routing, num_classes))
+    for sub in known:
+        if sub.name == name:
+            return sub
+    raise ConfigError(
+        f"unknown subfunction {name!r} for {routing.topology!r}"
+    )
+
+
 # -- graph construction --------------------------------------------------
 
 Edges = dict[Channel, set[Channel]]
 
 
-def _add_edge(edges: Edges, src: Channel | None, dst: Channel) -> None:
-    edges.setdefault(dst, set())
-    if src is not None and src != dst:
-        edges.setdefault(src, set()).add(dst)
+def walk_dependencies(routing: RoutingFunction, sub) -> tuple[Edges, bool]:
+    """Dependency graph of a subfunction w.r.t. the full relation.
 
+    The one route walker.  At every state the header may take a
+    subfunction channel, chaining it to the previously-held one -- the
+    worm's body holds its whole path, so a later channel depends on
+    every earlier one and transitivity is carried by the *last*
+    subfunction channel -- or, when the subfunction has free hops, any
+    minimal adaptive hop with the chain unchanged.  That is the
+    conservative superset of Duato's indirect-dependency closure, so an
+    acyclic result is always sound.  States are memoised on
+    ``(node, dateline bits, last channel)``.
 
-def _walk_deterministic(
-    routing: RoutingFunction, src: int, dst: int, num_classes: int,
-    edges: Edges,
-) -> None:
-    """Add the dependency chain of the unique deterministic route."""
-    topology = routing.topology
-    node, bits = src, 0
-    prev: Channel | None = None
-    while node != dst:
-        port = topology.dor_port(node, dst)
-        chan = Channel(
-            node, port,
-            routing.hop_class(node, port, bits, num_classes=num_classes),
-        )
-        _add_edge(edges, prev, chan)
-        prev = chan
-        bits = routing.hop_bits(node, port, bits)
-        nxt = topology.neighbor(node, port)
-        assert nxt is not None
-        node = nxt
-
-
-def _walk_adaptive_escape(
-    routing: RoutingFunction, src: int, dst: int, num_classes: int,
-    edges: Edges,
-) -> None:
-    """Add *extended* escape-channel dependencies over all minimal routes.
-
-    A worm may take adaptive channels freely and fall through to the
-    escape (dimension-order) channel at any hop.  Because the worm's body
-    holds its whole path, a later escape channel depends on every earlier
-    one; chaining each escape use to the next along a route yields the
-    same transitive closure, so the DFS carries only the *last* escape
-    channel.  States are memoised on (node, dateline bits, last escape).
+    Returns the graph and whether the subfunction is *connected*: every
+    state the full relation reaches offers an option and every option
+    leads to a neighbour, so any endpoint pair is routable on the
+    subfunction alone from wherever the adaptive hops left the header.
     """
     topology = routing.topology
-    seen: set[tuple[int, int, Channel | None]] = set()
-    stack: list[tuple[int, int, Channel | None]] = [(src, 0, None)]
-    while stack:
-        node, bits, last = stack.pop()
-        if node == dst or (node, bits, last) in seen:
-            continue
-        seen.add((node, bits, last))
-        # Escape alternative: the dimension-order hop on the escape class.
-        esc_port = topology.dor_port(node, dst)
-        esc = Channel(
-            node, esc_port,
-            routing.hop_class(node, esc_port, bits, num_classes=num_classes),
-        )
-        _add_edge(edges, last, esc)
-        nxt = topology.neighbor(node, esc_port)
-        assert nxt is not None
-        stack.append((nxt, routing.hop_bits(node, esc_port, bits), esc))
-        # Adaptive alternatives: any minimal hop, escape chain unchanged.
-        for port in topology.minimal_ports(node, dst):
-            nbr = topology.neighbor(node, port)
-            if nbr is None:
+    neighbor, hop_bits = topology.neighbor, routing.hop_bits
+    options_at, free_hops = sub.options, sub.free_hops
+    edges: Edges = {}
+    connected = True
+    # Only endpoint pairs route messages; on topologies with dedicated
+    # switching elements (MINs) the switches never source or sink worms,
+    # and including them would add dependencies no run can create.
+    for src in topology.endpoints():
+        for dst in topology.endpoints():
+            if src == dst:
                 continue
-            stack.append((nbr, routing.hop_bits(node, port, bits), last))
+            seen: set[tuple[int, int, Channel | None]] = set()
+            stack: list[tuple[int, int, Channel | None]] = [(src, 0, None)]
+            while stack:
+                state = stack.pop()
+                node, bits, last = state
+                if node == dst or state in seen:
+                    continue
+                seen.add(state)
+                options = options_at(node, dst, bits)
+                if not options:
+                    connected = False  # dead end short of the destination
+                for port, cls in options:
+                    chan = Channel(node, port, cls)
+                    edges.setdefault(chan, set())
+                    if last is not None and last != chan:
+                        edges[last].add(chan)
+                    nbr = neighbor(node, port)
+                    if nbr is None:
+                        connected = False
+                        continue
+                    stack.append((nbr, hop_bits(node, port, bits), chan))
+                if free_hops:
+                    for port in topology.minimal_ports(node, dst):
+                        nbr = neighbor(node, port)
+                        if nbr is not None:
+                            stack.append(
+                                (nbr, hop_bits(node, port, bits), last)
+                            )
+    return edges, connected
 
 
-def build_cdg(
-    topology: Topology,
-    routing,
-    *,
-    assume_classes: int | None = None,
-) -> Edges:
-    """Build the (extended) channel-dependency graph of a routing function.
+def analysed_classes(
+    routing: RoutingFunction, assume_classes: int | None
+) -> int:
+    """The VC-class count an analysis uses, validating the override.
 
-    ``assume_classes`` overrides the VC-class count used by the analysis
-    (e.g. ``1`` on a torus ignores the dateline discipline -- the
+    ``assume_classes`` overrides the routing function's own count (e.g.
+    ``1`` on a torus ignores the dateline discipline -- the
     deliberately-cyclic configuration used to validate the analyzer).
     """
-    num_classes = (
-        routing.num_classes if assume_classes is None else assume_classes
-    )
-    if num_classes < 1:
+    if assume_classes is None:
+        return routing.num_classes
+    if assume_classes < 1:
         raise ConfigError(f"assume_classes must be >= 1, got {assume_classes}")
-    if assume_classes is not None and assume_classes > routing.num_classes:
+    if assume_classes > routing.num_classes:
         # The class discipline is pinned by the topology: fullmesh and the
         # unidirectional MIN (and mesh/hypercube) define exactly one VC
         # class, a torus exactly two.  hop_class() can never emit a class
@@ -201,68 +339,92 @@ def build_cdg(
             "pins; only reducing the class count (e.g. 1 to ignore "
             "torus datelines) is a meaningful override"
         )
-    edges: Edges = {}
-    adaptive = isinstance(routing, AdaptiveRouting)
-    # Only endpoint pairs route messages; on topologies with dedicated
-    # switching elements (MINs) the switches never source or sink worms,
-    # and including them would add dependencies no run can create.
-    for src in topology.endpoints():
-        for dst in topology.endpoints():
-            if src == dst:
-                continue
-            if adaptive:
-                _walk_adaptive_escape(routing, src, dst, num_classes, edges)
-            else:
-                _walk_deterministic(routing, src, dst, num_classes, edges)
-    return edges
+    return assume_classes
+
+
+def build_cdg(
+    topology: Topology,
+    routing,
+    *,
+    assume_classes: int | None = None,
+) -> Edges:
+    """The designated (extended) CDG of a routing function."""
+    num_classes = analysed_classes(routing, assume_classes)
+    return walk_dependencies(
+        routing, EscapeSubfunction(routing, num_classes)
+    )[0]
 
 
 def find_cycle(edges: Edges) -> list[Channel]:
-    """Return one dependency cycle as a channel chain, or [] if acyclic."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in edges}
-    path: list[Channel] = []
+    """Return one dependency cycle as a closed channel chain, or [].
 
-    def dfs(start: Channel) -> list[Channel]:
-        stack: list[tuple[Channel, iter]] = [(start, iter(sorted(
-            edges.get(start, ()), key=lambda c: (c.node, c.port, c.vc_class)
-        )))]
+    Depth-first from the smallest channel, successors in channel order,
+    so the witness is deterministic for a given graph.
+    """
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = dict.fromkeys(edges, WHITE)
+    for start in sorted(edges):
+        if color[start] != WHITE:
+            continue
         color[start] = GREY
-        path.append(start)
-        while stack:
-            vertex, it = stack[-1]
-            advanced = False
-            for nxt in it:
+        path = [start]  # the grey chain; pending[i] iterates path[i]'s outs
+        pending = [iter(sorted(edges[start]))]
+        while pending:
+            for nxt in pending[-1]:
                 if color[nxt] == GREY:
                     return path[path.index(nxt):] + [nxt]
                 if color[nxt] == WHITE:
                     color[nxt] = GREY
                     path.append(nxt)
-                    stack.append((nxt, iter(sorted(
-                        edges.get(nxt, ()),
-                        key=lambda c: (c.node, c.port, c.vc_class),
-                    ))))
-                    advanced = True
+                    pending.append(iter(sorted(edges[nxt])))
                     break
-            if not advanced:
-                color[vertex] = BLACK
-                path.pop()
-                stack.pop()
-        return []
-
-    for vertex in sorted(edges, key=lambda c: (c.node, c.port, c.vc_class)):
-        if color[vertex] == WHITE:
-            cycle = dfs(vertex)
-            if cycle:
-                return cycle
+            else:
+                color[path.pop()] = BLACK
+                pending.pop()
     return []
 
 
 # -- the full protocol-level check ---------------------------------------
 
 
-def _separation_checks(config: "NetworkConfig", routing) -> list[SeparationCheck]:
-    """The resource-separation leg of Theorems 1-2, from configuration."""
+@dataclass
+class DesignatedGraph:
+    """A config's designated dependency graph, built once for both legs."""
+
+    config: "NetworkConfig"
+    assume_classes: int | None
+    topology: Topology
+    routing: RoutingFunction
+    num_classes: int
+    edges: Edges
+    connected: bool
+
+
+def config_topology(config: "NetworkConfig") -> Topology:
+    return build_topology(config.topology, config.dims)
+
+
+def designated_graph(
+    config: "NetworkConfig", assume_classes: int | None = None
+) -> DesignatedGraph:
+    """Walk the designated discipline of one network configuration."""
+    topology = config_topology(config)
+    routing = make_routing(
+        config.wormhole.routing, topology, config.wormhole.vcs
+    )
+    num_classes = analysed_classes(routing, assume_classes)
+    edges, connected = walk_dependencies(
+        routing, EscapeSubfunction(routing, num_classes)
+    )
+    return DesignatedGraph(
+        config, assume_classes, topology, routing, num_classes,
+        edges, connected,
+    )
+
+
+def separation_leg(graph: DesignatedGraph) -> list[SeparationCheck]:
+    """The resource-separation leg of Theorems 1-2 for one configuration."""
+    config, routing = graph.config, graph.routing
     checks: list[SeparationCheck] = []
     wave = config.wave
     if wave is not None:
@@ -287,13 +449,20 @@ def _separation_checks(config: "NetworkConfig", routing) -> list[SeparationCheck
         "acks, releases and teardowns are consumed at network interfaces "
         "and never wait on wormhole credits",
     ))
-    if config_topology(config).num_vc_classes > 1:
+    if graph.topology.num_vc_classes > 1:
         need = routing.num_classes
         checks.append(SeparationCheck(
             "dateline_vcs", config.wormhole.vcs >= need,
             f"dateline discipline needs >= {need} VCs "
             f"(configured: {config.wormhole.vcs})",
         ))
+    if graph.assume_classes is None:
+        # Replay only when the analysis models the runtime discipline
+        # verbatim; under a counterfactual class count the runtime would
+        # legitimately use channels the analysed graph omits.
+        checks.append(
+            runtime_replay_check(graph.topology, routing, graph.edges)
+        )
     return checks
 
 
@@ -315,9 +484,7 @@ def runtime_replay_check(
     """
     from repro.wormhole.flit import Flit
 
-    vertices: set[Channel] = set(edges)
-    for outs in edges.values():
-        vertices.update(outs)
+    vertices = set(edges).union(*edges.values())
     num_classes = routing.num_classes
     replayed = 0
     for src in topology.endpoints():
@@ -355,55 +522,18 @@ def runtime_replay_check(
     )
 
 
-def config_topology(config: "NetworkConfig") -> Topology:
-    return build_topology(config.topology, config.dims)
-
-
 def analyze_config(
     config: "NetworkConfig", *, assume_classes: int | None = None
 ) -> CDGReport:
-    """Run the full static check for one network configuration."""
-    topology = config_topology(config)
-    routing = make_routing(
-        config.wormhole.routing, topology, config.wormhole.vcs
-    )
-    edges = build_cdg(topology, routing, assume_classes=assume_classes)
-    checks = _separation_checks(config, routing)
-    if assume_classes is None:
-        # Replay only when the analysis models the runtime discipline
-        # verbatim; under a counterfactual class count the runtime would
-        # legitimately use channels the analysed graph omits.
-        checks.append(runtime_replay_check(topology, routing, edges))
-    report = CDGReport(
-        topology=repr(topology),
-        routing=type(routing).__name__,
-        num_classes=(
-            routing.num_classes if assume_classes is None else assume_classes
-        ),
-        num_channels=len(edges),
-        num_deps=sum(len(v) for v in edges.values()),
-        cycle=find_cycle(edges),
-        checks=checks,
-    )
-    return report
+    """The separation leg plus the designated graph and its cycle, if any.
 
-
-def format_report(report: CDGReport, topology: Topology) -> str:
-    """Render a report the way ``repro verify-cdg`` prints it."""
-    kind = "extended CDG" if report.routing == "AdaptiveRouting" else "CDG"
-    lines = [
-        f"{kind}: {report.topology} / {report.routing} "
-        f"({report.num_classes} VC class(es)): "
-        f"{report.num_channels} channels, {report.num_deps} dependencies",
-    ]
-    if report.acyclic:
-        lines.append("  acyclic: no channel-wait cycle exists (Theorems 1-2)")
-    else:
-        lines.append(
-            f"  CYCLE of {len(report.cycle) - 1} channels: "
-            + report.cycle_chain(topology)
-        )
-    for check in report.checks:
-        mark = "ok" if check.passed else "FAIL"
-        lines.append(f"  [{mark}] {check.name}: {check.detail}")
-    return "\n".join(lines)
+    The proof ladder over the same graph is
+    :func:`repro.verify.smt.verify_config`.
+    """
+    graph = designated_graph(config, assume_classes)
+    return CDGReport(
+        num_channels=len(graph.edges),
+        num_deps=sum(len(v) for v in graph.edges.values()),
+        cycle=find_cycle(graph.edges),
+        checks=separation_leg(graph),
+    )

@@ -1,46 +1,42 @@
-"""Exact deadlock-freedom verification with machine-checkable certificates.
+"""The proof ladder for Theorems 1-2, with machine-checkable certificates.
 
-The static analyzer (:mod:`repro.verify.cdg`) proves Theorems 1-2 by
-cycle search over a dependency graph.  For deterministic routing that is
-exact (Dally & Seitz: cyclic CDG iff a deadlock is reachable), but for
-adaptive routing any *single* graph is an approximation of Duato's
-actual condition -- a routing function is deadlock-free iff **some**
-connected routing subfunction has an acyclic extended dependency graph.
-In particular the *union* dependency graph (every channel any route may
-use, accumulated -- the method of Stramaglia, Keiren & Zantema's loop
-search) over-approximates: a config whose escape subfunction is sound is
-still flagged cyclic, and a config whose *designated* escape discipline
-fails may still be freed by a different valid subrelation that a cycle
-search cannot express.
+:mod:`repro.verify.cdg` builds dependency graphs; this module decides
+them.  For deterministic routing one graph is exact (Dally & Seitz:
+cyclic CDG iff a deadlock is reachable), but for adaptive routing any
+*single* graph is an approximation of Duato's actual condition -- a
+routing function is deadlock-free iff **some** connected routing
+subfunction has an acyclic extended dependency graph.  The *union*
+dependency graph (every channel any route may use, accumulated -- the
+method of Stramaglia, Keiren & Zantema's loop search) over-approximates,
+and a config whose *designated* escape discipline fails may still be
+freed by a different valid subrelation.  So every config climbs one
+ladder (:func:`climb_ladder`) and every verdict is auditable:
 
-This module decides the question exactly, SMT-style, and makes every
-verdict auditable:
+* **Rung 1, acyclicity / escape** (Duato's sufficient condition): the
+  designated discipline must be connected and its (extended) dependency
+  graph acyclic.  For deterministic routing that is the whole question.
 
-* **Acyclicity via per-channel ranks.**  A graph is acyclic iff the
-  constraint system ``rank(u) < rank(v)`` for every dependency ``u -> v``
-  is satisfiable over the integers.  With ``z3-solver`` installed the
-  system is discharged by z3 and the model is read back; without it a
-  native exact engine (longest-path ranks over Kahn's algorithm) decides
-  the *same* constraint system and emits the *same* certificate format.
-  Both engines are exact; z3 is the independent cross-check CI runs.
+* **Rung 2, valid subrelation**: further candidate subfunctions
+  (currently a ring-split dimension-order family that breaks torus ring
+  ties by source parity) are checked the same way.  Any hit proves
+  deadlock freedom per Duato's theorem even though every single-graph
+  cycle search says "cyclic".
 
-* **Escape-channel verification** (Duato's sufficient condition): the
-  designated escape subfunction must be connected and its extended
-  dependency graph (escape dependencies chained across adaptive hops)
-  acyclic.  The union graph's cycle, when one exists, is recorded in the
-  certificate as evidence of the over-approximation being resolved.
+* **Rung 3, family-exhausted rejection**: the first refuting cycle is
+  the witness; conclusive for deterministic routing, family-relative
+  for adaptive routing (Duato's condition is existential).
 
-* **Valid-subrelation search** when the designated escape discipline
-  fails: candidate subfunctions (currently the escape discipline itself
-  and a ring-split dimension-order family that breaks torus ring ties by
-  source parity) are checked exactly -- connectivity plus extended-graph
-  acyclicity.  Any hit proves deadlock freedom per Duato's theorem even
-  though every single-graph cycle search says "cyclic".
+* **Deciding a rung.**  A graph is acyclic iff the constraint system
+  ``rank(u) < rank(v)`` for every dependency ``u -> v`` is satisfiable
+  over the integers.  The native engine (longest-path ranks over Kahn's
+  algorithm) decides it; ``find_cycle`` only extracts the witness of an
+  unsatisfiable system.  With ``engine="z3"`` the same system is also
+  discharged by z3, which must agree: a cross-check, never the decider.
 
-* **Certificates.**  Every verdict emits JSON: the analysed graph (with
-  a canonical hash so drift is detected), per-channel ranks for a FREE
-  verdict or the witnessing cycle for a refutation, the subfunction used
-  and the union-cycle evidence for adaptive configs.
+* **Certificates.**  Every verdict emits JSON: which graph it is about
+  (the subfunction, with a canonical hash so drift is detected),
+  per-channel ranks for a FREE verdict or the witnessing cycle for a
+  refutation, and the union-cycle evidence for adaptive configs.
   :func:`check_certificate` replays a certificate **without z3** -- rank
   replay is plain integer comparison edge by edge -- so a committed
   certificate is auditable on any machine.
@@ -60,26 +56,28 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import ConfigError, ReproError
-from repro.topology.base import CartesianTopology, Topology
 from repro.verify.cdg import (
     Channel,
+    DesignatedGraph,
     Edges,
-    _add_edge,
-    build_cdg,
+    EscapeSubfunction,
+    FullRelation,
+    SeparationCheck,
+    analysed_classes,
+    candidate_subfunctions,
     config_topology,
+    designated_graph,
     find_cycle,
+    subfunction_by_name,
+    walk_dependencies,
 )
-from repro.wormhole.routing import (
-    AdaptiveRouting,
-    RoutingFunction,
-    make_routing,
-)
+from repro.wormhole.routing import AdaptiveRouting, make_routing
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.orchestrate.spec import JobSpec
     from repro.sim.config import NetworkConfig
 
-try:  # z3 is optional: the native engine decides the same constraints.
+try:  # z3 is optional: the native engine decides; z3 only cross-checks.
     import z3 as _z3  # type: ignore[import-not-found]
 except ImportError:  # pragma: no cover - exercised by the no-z3 CI job
     _z3 = None
@@ -90,10 +88,6 @@ CERT_FORMAT = "repro-cdg-cert/1"
 def have_z3() -> bool:
     """True when the optional ``z3-solver`` backend is importable."""
     return _z3 is not None
-
-
-def z3_version() -> str | None:
-    return _z3.get_version_string() if _z3 is not None else None
 
 
 # -- channel (de)serialisation -------------------------------------------
@@ -110,11 +104,7 @@ def parse_chan_key(key: str) -> Channel:
 
 
 def _sorted_channels(edges: Edges) -> list[Channel]:
-    order = lambda c: (c.node, c.port, c.vc_class)  # noqa: E731
-    vertices = set(edges)
-    for outs in edges.values():
-        vertices.update(outs)
-    return sorted(vertices, key=order)
+    return sorted(set(edges).union(*edges.values()))
 
 
 def graph_fingerprint(edges: Edges) -> dict:
@@ -176,7 +166,7 @@ def solve_ranks_z3(edges: Edges) -> dict[Channel, int] | None:
     One integer variable per channel, one strict inequality per
     dependency; ``sat`` returns the model, ``unsat`` proves a cycle.
     """
-    if _z3 is None:  # pragma: no cover - guarded by callers
+    if _z3 is None:
         raise ConfigError(
             "z3-solver is not installed; use engine='native' or install "
             "the 'smt' extra (pip install repro[smt])"
@@ -199,305 +189,39 @@ def solve_ranks_z3(edges: Edges) -> dict[Channel, int] | None:
 def solve_ranks(
     edges: Edges, engine: str
 ) -> tuple[dict[Channel, int] | None, str]:
-    """Dispatch to an engine; returns ``(ranks_or_None, engine_used)``.
+    """Decide one graph; returns ``(ranks_or_None, engine_used)``.
 
-    ``engine`` is ``"auto"`` (z3 when installed, else native), ``"z3"``
-    (hard requirement) or ``"native"``.
+    The native engine always decides.  ``engine="z3"`` additionally
+    discharges the same constraints with z3, which must reach the same
+    verdict; its model is the one returned, so certificate replay
+    checks the cross-check's own ranks edge by edge.
     """
-    if engine == "auto":
-        engine = "z3" if have_z3() else "native"
-    if engine == "z3":
-        return solve_ranks_z3(edges), f"z3-{z3_version()}"
+    if engine not in ("native", "z3"):
+        raise ConfigError(f"unknown SMT engine {engine!r}")
+    ranks = solve_ranks_native(edges)
     if engine == "native":
-        return solve_ranks_native(edges), "native"
-    raise ConfigError(f"unknown SMT engine {engine!r}")
-
-
-# -- the union dependency graph (the over-approximation) ------------------
-
-
-def adaptive_class(num_classes: int) -> int:
-    """Pseudo-class id labelling the adaptive VC pool in the union graph.
-
-    Escape channels carry classes ``0..num_classes-1``; all adaptive VCs
-    are symmetric, so one extra class id suffices -- a cycle exists among
-    the adaptive channels iff it exists with a single representative.
-    """
-    return num_classes
-
-
-def build_union_cdg(
-    routing: RoutingFunction, *, assume_classes: int | None = None
-) -> Edges:
-    """Accumulate *every* direct dependency any route may create.
-
-    This is the single-graph union that a plain loop search (SNIPPETS
-    snippet 3, method ``-b``; Stramaglia et al.'s satisfiability phrasing
-    of the same object) operates on.  For deterministic routing it equals
-    the ordinary CDG.  For adaptive routing it includes the adaptive
-    channels and all adaptive<->escape transitions -- and is cyclic for
-    every interesting adaptive config (all turns are permitted), which is
-    exactly the over-approximation the escape/subrelation methods
-    resolve.
-    """
-    topology = routing.topology
-    num_classes = (
-        routing.num_classes if assume_classes is None else assume_classes
-    )
-    if not isinstance(routing, AdaptiveRouting):
-        return build_cdg(topology, routing, assume_classes=assume_classes)
-    adapt_cls = adaptive_class(num_classes)
-    edges: Edges = {}
-    for src in topology.endpoints():
-        for dst in topology.endpoints():
-            if src == dst:
-                continue
-            _union_walk(routing, src, dst, num_classes, adapt_cls, edges)
-    return edges
-
-
-def _state_options(
-    routing: RoutingFunction, node: int, dst: int, bits: int,
-    num_classes: int, adapt_cls: int,
-) -> list[tuple[int, int]]:
-    """All (port, class) channels a blocked header may wait on here."""
-    topology = routing.topology
-    esc_port = topology.dor_port(node, dst)
-    options = [(
-        esc_port,
-        routing.hop_class(node, esc_port, bits, num_classes=num_classes),
-    )]
-    for port in topology.minimal_ports(node, dst):
-        options.append((port, adapt_cls))
-    return options
-
-
-def _union_walk(
-    routing: RoutingFunction, src: int, dst: int,
-    num_classes: int, adapt_cls: int, edges: Edges,
-) -> None:
-    """Direct dependencies of one endpoint pair over all legal routes."""
-    topology = routing.topology
-    seen: set[tuple[int, int]] = set()
-    stack: list[tuple[int, int]] = [(src, 0)]
-    while stack:
-        node, bits = stack.pop()
-        if node == dst or (node, bits) in seen:
-            continue
-        seen.add((node, bits))
-        options = _state_options(
-            routing, node, dst, bits, num_classes, adapt_cls
+        return ranks, "native"
+    crosscheck = solve_ranks_z3(edges)
+    if (ranks is None) != (crosscheck is None):
+        raise ReproError(
+            "rank engines disagree: native says "
+            f"{'cyclic' if ranks is None else 'acyclic'}, z3 the opposite"
         )
-        for port, cls in options:
-            chan = Channel(node, port, cls)
-            _add_edge(edges, None, chan)
-            nbr = topology.neighbor(node, port)
-            assert nbr is not None
-            nbits = routing.hop_bits(node, port, bits)
-            stack.append((nbr, nbits))
-            if nbr == dst:
-                continue
-            # Direct dependency: arriving on `chan`, the header may wait
-            # on any channel usable at the next hop.
-            for nport, ncls in _state_options(
-                routing, nbr, dst, nbits, num_classes, adapt_cls
-            ):
-                _add_edge(edges, chan, Channel(nbr, nport, ncls))
-
-
-# -- routing subfunctions (Duato's valid subrelations) --------------------
-
-
-class EscapeSubfunction:
-    """The designated escape discipline: dimension-order on escape VCs."""
-
-    name = "escape-dor"
-
-    def __init__(self, routing: RoutingFunction, num_classes: int) -> None:
-        self.routing = routing
-        self.num_classes = num_classes
-
-    def options(
-        self, node: int, dst: int, bits: int
-    ) -> tuple[tuple[int, int], ...]:
-        port = self.routing.topology.dor_port(node, dst)
-        cls = self.routing.hop_class(
-            node, port, bits, num_classes=self.num_classes
-        )
-        return ((port, cls),)
-
-
-class RingSplitSubfunction:
-    """Dimension order with per-ring direction choice, over adaptive VCs.
-
-    On a wrapped (torus) dimension whose two minimal directions tie, the
-    escape DOR rule always takes the plus port -- chaining plus links all
-    the way around the ring, which is the classic cycle when no dateline
-    classes are available.  This subfunction breaks the tie by *source
-    parity* instead: even coordinates go plus, odd go minus, so neither
-    direction's links ever chain around a full ring.  Non-tied hops take
-    the strictly-minimal direction (which can never chain a ring either:
-    a route crosses at most half the ring).  All options are served from
-    the adaptive VC pool, so the subfunction is a subrelation of the full
-    adaptive routing relation whatever the escape class discipline says.
-
-    Duato's theorem then applies: if this subfunction is connected and
-    its extended dependency graph (chained across *all* adaptive hops of
-    the full relation) is acyclic, the routing function is deadlock-free
-    -- even when every single-graph cycle search over the union or the
-    escape discipline reports a cycle.
-    """
-
-    name = "ring-split-dor"
-
-    def __init__(self, routing: RoutingFunction, num_classes: int) -> None:
-        topology = routing.topology
-        if not isinstance(topology, CartesianTopology):
-            raise ConfigError(
-                "ring-split subfunction requires a Cartesian topology"
-            )
-        self.routing = routing
-        self.topology = topology
-        self.cls = adaptive_class(num_classes)
-
-    def options(
-        self, node: int, dst: int, bits: int
-    ) -> tuple[tuple[int, int], ...]:
-        topo = self.topology
-        here = topo.coords(node)
-        there = topo.coords(dst)
-        for dim, radix in enumerate(topo.dims):
-            c, t = here[dim], there[dim]
-            if c == t:
-                continue
-            if topo._wraps(dim):
-                up = (t - c) % radix
-                down = (c - t) % radix
-                if up < down:
-                    port = 2 * dim
-                elif down < up:
-                    port = 2 * dim + 1
-                else:  # tie: split the ring by source parity
-                    port = 2 * dim if c % 2 == 0 else 2 * dim + 1
-            else:
-                port = 2 * dim if t > c else 2 * dim + 1
-            return ((port, self.cls),)
-        return ()
-
-
-def candidate_subfunctions(
-    routing: RoutingFunction, num_classes: int
-) -> list:
-    """Subrelation candidates, cheapest/most-standard first."""
-    candidates: list = [EscapeSubfunction(routing, num_classes)]
-    topology = routing.topology
-    if isinstance(routing, AdaptiveRouting) and isinstance(
-        topology, CartesianTopology
-    ):
-        if any(topology._wraps(d) for d in range(topology.n_dims)):
-            candidates.append(RingSplitSubfunction(routing, num_classes))
-    return candidates
-
-
-def subfunction_by_name(
-    name: str, routing: RoutingFunction, num_classes: int
-):
-    for sub in candidate_subfunctions(routing, num_classes):
-        if sub.name == name:
-            return sub
-    raise ConfigError(
-        f"unknown subfunction {name!r} for {routing.topology!r}"
-    )
-
-
-def subfunction_connected(routing: RoutingFunction, sub) -> bool:
-    """Every endpoint pair must be routable using the subfunction alone.
-
-    Walk each pair following only the subfunction's options; every state
-    it can reach must offer at least one option (no dead ends) and every
-    branch must terminate at the destination.
-    """
-    topology = routing.topology
-    for src in topology.endpoints():
-        for dst in topology.endpoints():
-            if src == dst:
-                continue
-            seen: set[tuple[int, int]] = set()
-            stack = [(src, 0)]
-            while stack:
-                node, bits = stack.pop()
-                if node == dst or (node, bits) in seen:
-                    continue
-                seen.add((node, bits))
-                options = sub.options(node, dst, bits)
-                if not options:
-                    return False
-                for port, _cls in options:
-                    nbr = topology.neighbor(node, port)
-                    if nbr is None:
-                        return False
-                    stack.append((nbr, routing.hop_bits(node, port, bits)))
-    return True
-
-
-def build_extended_cdg(
-    routing: RoutingFunction, sub, *, assume_classes: int | None = None
-) -> Edges:
-    """Extended dependency graph of a subfunction w.r.t. the full relation.
-
-    Generalises the analyzer's escape walk: at every state the header may
-    take a subfunction channel (chaining it to the previously-held one --
-    the worm's body holds its whole path, so transitivity is carried by
-    the *last* subfunction channel) or, when the relation is adaptive,
-    any minimal adaptive hop with the chain unchanged.  This is the
-    conservative superset of Duato's indirect-dependency closure, so an
-    acyclic result is always sound.
-    """
-    topology = routing.topology
-    num_classes = (
-        routing.num_classes if assume_classes is None else assume_classes
-    )
-    del num_classes  # classes are baked into the subfunction's options
-    adaptive = isinstance(routing, AdaptiveRouting)
-    edges: Edges = {}
-    for src in topology.endpoints():
-        for dst in topology.endpoints():
-            if src == dst:
-                continue
-            seen: set[tuple[int, int, Channel | None]] = set()
-            stack: list[tuple[int, int, Channel | None]] = [(src, 0, None)]
-            while stack:
-                node, bits, last = stack.pop()
-                if node == dst or (node, bits, last) in seen:
-                    continue
-                seen.add((node, bits, last))
-                for port, cls in sub.options(node, dst, bits):
-                    chan = Channel(node, port, cls)
-                    _add_edge(edges, last, chan)
-                    nbr = topology.neighbor(node, port)
-                    assert nbr is not None
-                    stack.append(
-                        (nbr, routing.hop_bits(node, port, bits), chan)
-                    )
-                if adaptive:
-                    for port in topology.minimal_ports(node, dst):
-                        nbr = topology.neighbor(node, port)
-                        if nbr is None:
-                            continue
-                        stack.append(
-                            (nbr, routing.hop_bits(node, port, bits), last)
-                        )
-    return edges
+    return crosscheck, f"z3-{_z3.get_version_string()}"
 
 
 # -- verdicts ------------------------------------------------------------
 
 
+# Certificate method -> the rung of the ladder that decided.
+RUNGS = {"acyclicity": 1, "escape": 1, "subrelation": 2, "refuted": 3}
+
+
 @dataclass
 class SmtReport:
-    """Outcome of one exact verification run."""
+    """Outcome of one climb of the proof ladder."""
 
-    config: str  # human-readable config summary
+    graph: DesignatedGraph
     engine: str  # "native" or "z3-<version>"
     method: str  # acyclicity | escape | subrelation | refuted
     deadlock_free: bool
@@ -505,17 +229,17 @@ class SmtReport:
     detail: str
     certificate: dict
     union_cyclic: bool | None = None  # adaptive configs only
+    # Adaptive configs only: the subfunction whose graph the verdict (and
+    # the certificate's hash, ranks or cycle) is about.
     subfunction: str | None = None
+    # First refuting cycle met on the way up -- the rejection's witness,
+    # or the reason a lower rung failed -- and the graph it lives in.
+    cycle: list[Channel] = field(default_factory=list)
+    cycle_graph: str | None = None
 
-
-def _routing_for(
-    config: "NetworkConfig",
-) -> tuple[Topology, RoutingFunction]:
-    topology = config_topology(config)
-    routing = make_routing(
-        config.wormhole.routing, topology, config.wormhole.vcs
-    )
-    return topology, routing
+    @property
+    def rung(self) -> int:
+        return RUNGS[self.method]
 
 
 def _cert_config(config: "NetworkConfig") -> dict:
@@ -529,157 +253,161 @@ def _cert_config(config: "NetworkConfig") -> dict:
 
 
 def _ranks_json(ranks: dict[Channel, int]) -> dict[str, int]:
-    return {chan_key(ch): rank for ch, rank in sorted(
-        ranks.items(), key=lambda kv: (kv[0].node, kv[0].port, kv[0].vc_class)
-    )}
+    return {chan_key(ch): rank for ch, rank in sorted(ranks.items())}
 
 
 def _cycle_json(cycle: list[Channel]) -> list[str]:
     return [chan_key(ch) for ch in cycle]
 
 
-def verify_config(
-    config: "NetworkConfig",
-    *,
-    assume_classes: int | None = None,
-    engine: str = "auto",
-) -> SmtReport:
+def climb_ladder(graph: DesignatedGraph, engine: str = "native") -> SmtReport:
     """Decide deadlock freedom exactly and emit a certificate.
 
     Deterministic routing: rank the (plain) CDG -- satisfiable iff
     acyclic iff deadlock-free (exact both ways).  Adaptive routing:
     search for a connected subfunction with an acyclic extended graph
-    (escape discipline first, then the wider family); any hit is a proof
-    of freedom per Duato's theorem.  When the family is exhausted the
-    verdict is a *rejection with a caveat* (``conclusive=False``): the
-    witnessing cycles are real graph cycles, but Duato's condition is
-    existential so a subfunction outside the family could still exist.
+    (the designated escape discipline first, then the wider family);
+    any hit is a proof of freedom per Duato's theorem.  When the family
+    is exhausted the verdict is a *rejection with a caveat*
+    (``conclusive=False``): the witnessing cycle is a real graph cycle,
+    but Duato's condition is existential so a subfunction outside the
+    family could still exist.
     """
-    topology, routing = _routing_for(config)
-    num_classes = (
-        routing.num_classes if assume_classes is None else assume_classes
-    )
-    base = {
+    routing, num_classes = graph.routing, graph.num_classes
+    adaptive = isinstance(routing, AdaptiveRouting)
+    cert = {
         "format": CERT_FORMAT,
-        "config": _cert_config(config),
-        "assume_classes": assume_classes,
+        "config": _cert_config(graph.config),
+        "assume_classes": graph.assume_classes,
     }
+    union: Edges = {}
+    union_cycle: list[Channel] = []
+    if adaptive:
+        # What a plain loop search sees, recorded as evidence of the
+        # over-approximation the rungs below resolve.
+        union, _ = walk_dependencies(
+            routing, FullRelation(routing, num_classes)
+        )
+        union_cycle = find_cycle(union)
+        cert["union_cycle"] = _cycle_json(union_cycle)
 
-    if not isinstance(routing, AdaptiveRouting):
-        edges = build_cdg(topology, routing, assume_classes=assume_classes)
+    candidates = candidate_subfunctions(routing, num_classes)
+    designated = candidates[0]  # already walked: never rebuilt
+    proved = ranks = None
+    cycle_graph, cycle_edges, cycle = None, union, []  # SmtReport.cycle
+    engine_used = engine
+    for sub in candidates:
+        edges, connected = (
+            (graph.edges, graph.connected) if sub is designated
+            else walk_dependencies(routing, sub)
+        )
+        if not connected:
+            continue
         ranks, engine_used = solve_ranks(edges, engine)
-        fingerprint = graph_fingerprint(edges)
         if ranks is not None:
-            cert = dict(
-                base, method="acyclicity", engine=engine_used,
-                deadlock_free=True, conclusive=True, graph=fingerprint,
-                ranks=_ranks_json(ranks),
-            )
-            return SmtReport(
-                config=config.describe(), engine=engine_used,
-                method="acyclicity", deadlock_free=True, conclusive=True,
-                detail=(
-                    f"rank model over {fingerprint['channels']} channels / "
-                    f"{fingerprint['deps']} dependencies (deterministic "
-                    "routing: exact)"
-                ),
-                certificate=cert,
-            )
-        cycle = find_cycle(edges)
-        cert = dict(
-            base, method="refuted", engine=engine_used,
-            deadlock_free=False, conclusive=True, graph=fingerprint,
-            cycle=_cycle_json(cycle),
-        )
-        return SmtReport(
-            config=config.describe(), engine=engine_used, method="refuted",
-            deadlock_free=False, conclusive=True,
-            detail=(
-                f"rank constraints unsatisfiable; witnessing cycle of "
-                f"{len(cycle) - 1} channels (deterministic routing: a "
-                "reachable circular wait)"
-            ),
-            certificate=cert,
-        )
+            proved = sub
+            break
+        if not cycle:
+            cycle_graph, cycle_edges = sub.name, edges
+            cycle = find_cycle(edges)
 
-    # Adaptive: record the union-graph over-approximation, then search
-    # the subfunction family for Duato's certificate.
-    union = build_union_cdg(routing, assume_classes=assume_classes)
-    union_cycle = find_cycle(union)
-    engine_used = "native"
-    rejected_witness: list[Channel] = []
-    for sub in candidate_subfunctions(routing, num_classes):
-        if not subfunction_connected(routing, sub):
-            continue
-        ext = build_extended_cdg(
-            routing, sub, assume_classes=assume_classes
+    free = proved is not None
+    if free:
+        about = proved.name
+        cert["ranks"] = _ranks_json(ranks)
+        if not adaptive:
+            method = "acyclicity"
+        else:
+            method = "escape" if proved is designated else "subrelation"
+    else:
+        # Family exhausted.  The certificate fingerprints the graph the
+        # witness lives in, so replay checks the cycle against that graph.
+        if not cycle:
+            cycle_graph, cycle = FullRelation.name, union_cycle
+        about, edges, method = cycle_graph, cycle_edges, "refuted"
+        cert["cycle"] = _cycle_json(cycle)
+    fingerprint = graph_fingerprint(edges)
+    size = f"{fingerprint['channels']} channels / {fingerprint['deps']}"
+    if method == "acyclicity":
+        detail = (
+            f"rank model over {size} dependencies (deterministic routing: "
+            "exact)"
         )
-        ranks, engine_used = solve_ranks(ext, engine)
-        if ranks is None:
-            if not rejected_witness:
-                rejected_witness = find_cycle(ext)
-            continue
-        fingerprint = graph_fingerprint(ext)
-        method = (
-            "escape" if isinstance(sub, EscapeSubfunction) else "subrelation"
+    elif free:
+        detail = (
+            f"connected subfunction '{about}' with acyclic extended graph "
+            f"({size} deps): deadlock-free per Duato"
+            + ("; union graph cyclic (a plain cycle search "
+               "over-approximates this config)" if union_cycle else "")
         )
-        cert = dict(
-            base, method=method, engine=engine_used,
-            deadlock_free=True, conclusive=True,
-            subfunction=sub.name, graph=fingerprint,
-            ranks=_ranks_json(ranks),
-            union_cycle=_cycle_json(union_cycle),
+    elif adaptive:
+        detail = (
+            "no connected subfunction with an acyclic extended graph in "
+            f"the search family ({len(candidates)} candidates); rejection "
+            "is family-relative (Duato's condition is existential)"
         )
-        over = (
-            "; union graph cyclic (over-approximation resolved)"
-            if union_cycle else ""
+    else:
+        detail = (
+            "rank constraints unsatisfiable; witnessing cycle of "
+            f"{len(cycle) - 1} channels (deterministic routing: a "
+            "reachable circular wait)"
         )
-        return SmtReport(
-            config=config.describe(), engine=engine_used, method=method,
-            deadlock_free=True, conclusive=True,
-            detail=(
-                f"connected subfunction '{sub.name}' with acyclic "
-                f"extended graph ({fingerprint['channels']} channels / "
-                f"{fingerprint['deps']} deps): deadlock-free per Duato"
-                f"{over}"
-            ),
-            certificate=cert, union_cyclic=bool(union_cycle),
-            subfunction=sub.name,
-        )
-    witness = rejected_witness or union_cycle
-    fingerprint = graph_fingerprint(union)
-    cert = dict(
-        base, method="refuted", engine=engine_used,
-        deadlock_free=False, conclusive=False, graph=fingerprint,
-        cycle=_cycle_json(witness),
-        union_cycle=_cycle_json(union_cycle),
+    if adaptive:
+        cert["subfunction"] = about
+    cert.update(
+        method=method, engine=engine_used, deadlock_free=free,
+        conclusive=free or not adaptive, graph=fingerprint,
     )
     return SmtReport(
-        config=config.describe(), engine=engine_used, method="refuted",
-        deadlock_free=False, conclusive=False,
-        detail=(
-            "no connected subfunction with an acyclic extended graph in "
-            f"the search family ({len(candidate_subfunctions(routing, num_classes))} "
-            "candidates); rejection is family-relative (Duato's condition "
-            "is existential)"
-        ),
-        certificate=cert, union_cyclic=bool(union_cycle),
+        graph=graph, engine=engine_used, method=method, deadlock_free=free,
+        conclusive=free or not adaptive, detail=detail, certificate=cert,
+        union_cyclic=bool(union_cycle) if adaptive else None,
+        subfunction=about if adaptive else None,
+        cycle=cycle, cycle_graph=cycle_graph,
     )
 
 
-def format_smt_report(report: SmtReport) -> str:
+def verify_config(
+    config: "NetworkConfig",
+    *,
+    assume_classes: int | None = None,
+    engine: str = "native",
+) -> SmtReport:
+    """Climb the ladder for one configuration (no separation leg: that is
+    :func:`repro.verify.cdg.analyze_config` / ``separation_leg``)."""
+    return climb_ladder(designated_graph(config, assume_classes), engine)
+
+
+def format_report(
+    report: SmtReport, checks: Iterable[SeparationCheck] = ()
+) -> str:
+    """Render one configuration the way ``repro verify-cdg`` prints it."""
+    graph = report.graph
+    routing = type(graph.routing).__name__
+    kind = "extended CDG" if routing == "AdaptiveRouting" else "CDG"
+    lines = [
+        f"{kind}: {graph.topology!r} / {routing} "
+        f"({graph.num_classes} VC class(es)): {len(graph.edges)} channels, "
+        f"{sum(len(v) for v in graph.edges.values())} dependencies",
+    ]
+    if report.cycle:
+        lines.append(
+            f"  CYCLE of {len(report.cycle) - 1} channels in the "
+            f"'{report.cycle_graph}' graph: "
+            + " -> ".join(ch.describe(graph.topology) for ch in report.cycle)
+        )
+    else:
+        lines.append("  acyclic: no channel-wait cycle exists (Theorems 1-2)")
+    for check in checks:
+        mark = "ok" if check.passed else "FAIL"
+        lines.append(f"  [{mark}] {check.name}: {check.detail}")
     verdict = "DEADLOCK-FREE" if report.deadlock_free else (
         "REJECTED" if report.conclusive else "REJECTED (inconclusive)"
     )
-    lines = [
-        f"SMT [{report.engine}] {report.method}: {verdict}",
-        f"  {report.detail}",
-    ]
-    if report.union_cyclic:
-        lines.append(
-            "  union dependency graph is cyclic -- a plain cycle search "
-            "over-approximates this config"
-        )
+    lines.append(
+        f"  rung {report.rung} ({report.method}) [{report.engine}]: {verdict}"
+    )
+    lines.append(f"    {report.detail}")
     return "\n".join(lines)
 
 
@@ -757,43 +485,36 @@ def _replay_cycle(
 def check_certificate(cert: dict) -> CertificateCheck:
     """Replay a certificate with plain graph walks and integer compares.
 
-    Rebuilds the analysed graph from the certified configuration (pure
-    Python, no z3), verifies the canonical hash (drift detection), then
-    replays the rank model or the cycle witness.  For adaptive proofs the
-    subfunction's connectivity and the union-cycle evidence are replayed
-    too.
+    Rebuilds the graph the certificate names (its ``subfunction``; the
+    designated discipline when absent) from the certified configuration
+    -- pure Python, no z3 -- verifies the canonical hash (drift
+    detection), then replays the rank model or the cycle witness.  A
+    proof's subfunction must be connected, and for adaptive configs the
+    union-cycle evidence is replayed too.
     """
     errors: list[str] = []
     if cert.get("format") != CERT_FORMAT:
         return CertificateCheck(
             False, [f"unknown certificate format {cert.get('format')!r}"]
         )
+    method = cert.get("method")
+    if method not in RUNGS:
+        return CertificateCheck(False, [f"unknown method {method!r}"])
     try:
         config = _config_from_cert(cert)
-        topology, routing = _routing_for(config)
+        routing = make_routing(
+            config.wormhole.routing, config_topology(config),
+            config.wormhole.vcs,
+        )
+        num_classes = analysed_classes(routing, cert.get("assume_classes"))
+        sub = subfunction_by_name(
+            cert.get("subfunction", EscapeSubfunction.name),
+            routing, num_classes,
+        )
     except ReproError as exc:
         return CertificateCheck(False, [f"config rebuild failed: {exc}"])
-    assume = cert.get("assume_classes")
-    num_classes = routing.num_classes if assume is None else assume
-    method = cert.get("method")
-    adaptive = isinstance(routing, AdaptiveRouting)
 
-    if method == "acyclicity" or (method == "refuted" and not adaptive):
-        edges = build_cdg(topology, routing, assume_classes=assume)
-    elif method in ("escape", "subrelation"):
-        sub = subfunction_by_name(
-            cert.get("subfunction", ""), routing, num_classes
-        )
-        if not subfunction_connected(routing, sub):
-            errors.append(
-                f"subfunction {sub.name!r} is not connected"
-            )
-        edges = build_extended_cdg(routing, sub, assume_classes=assume)
-    elif method == "refuted" and adaptive:
-        edges = build_union_cdg(routing, assume_classes=assume)
-    else:
-        return CertificateCheck(False, [f"unknown method {method!r}"])
-
+    edges, connected = walk_dependencies(routing, sub)
     fingerprint = graph_fingerprint(edges)
     recorded = cert.get("graph", {})
     if recorded.get("sha256") != fingerprint["sha256"]:
@@ -804,11 +525,15 @@ def check_certificate(cert: dict) -> CertificateCheck:
         )
     checked = 0
     if cert.get("deadlock_free"):
+        if not connected:
+            errors.append(f"subfunction {sub.name!r} is not connected")
         checked = _replay_ranks(edges, cert.get("ranks", {}), errors)
     else:
         _replay_cycle(edges, cert.get("cycle", []), errors)
-    if adaptive and cert.get("union_cycle"):
-        union = build_union_cdg(routing, assume_classes=assume)
+    if isinstance(routing, AdaptiveRouting) and cert.get("union_cycle"):
+        union, _ = walk_dependencies(
+            routing, FullRelation(routing, num_classes)
+        )
         _replay_cycle(union, cert["union_cycle"], errors)
     return CertificateCheck(
         ok=not errors,
@@ -853,7 +578,7 @@ def load_certificate(path) -> dict:
 
 
 def check_certificate_files(paths: Iterable) -> list[tuple[Path, CertificateCheck]]:
-    """Replay a batch of certificate files (CI's smt-check job)."""
+    """Replay a batch of certificate files (CI's prover-check job)."""
     results = []
     for path in sorted(Path(p) for p in paths):
         try:

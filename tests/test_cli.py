@@ -366,44 +366,105 @@ class TestVerifyCdg:
         assert code == 1
         assert "0/11" in capsys.readouterr().out
 
-    def test_smt_backend_all_shipped(self, capsys):
-        code = main(["verify-cdg", "--all", "--backend", "smt"])
+    def test_every_report_names_its_rung_and_engine(self, capsys):
+        code = main(["verify-cdg", "--all"])
         assert code == 0
         out = capsys.readouterr().out
         assert "11/11 configurations deadlock-free" in out
-        assert "SMT [" in out
+        assert "rung 1 (acyclicity) [native]: DEADLOCK-FREE" in out
+        assert "rung 1 (escape) [native]: DEADLOCK-FREE" in out
 
-    def test_both_backends_resolve_over_approximation(self, capsys):
-        # Dateline-free 4-ring with adaptive routing: search refutes,
-        # the subrelation proof certifies free -- the audit must report
-        # the resolution and exit 0, not raise a false alarm.
+    def test_subrelation_rung_resolves_over_approximation(self, capsys):
+        # Dateline-free 4-ring with adaptive routing: the designated
+        # escape graph is cyclic, the subrelation proof certifies free --
+        # the one path must print both and exit 0, not raise a false
+        # alarm.
         code = main([
             "verify-cdg", "--protocol", "wormhole",
             "--topology", "torus", "--dims", "4",
             "--routing", "adaptive", "--vcs", "3",
-            "--assume-classes", "1", "--backend", "both",
+            "--assume-classes", "1",
         ])
         assert code == 0
         out = capsys.readouterr().out
+        assert "CYCLE" in out
+        assert "rung 2 (subrelation)" in out
         assert "over-approximat" in out
         assert "1/1 configurations deadlock-free" in out
 
-    def test_smt_backend_expect_cyclic(self, capsys):
+    def test_family_exhausted_expect_cyclic(self, tmp_path, capsys):
+        # A dateline-free adaptive 6-ring: the whole family is refuted,
+        # family-relative, and the emitted certificate replays clean.
+        certs = tmp_path / "certs"
+        code = main([
+            "verify-cdg", "--protocol", "wormhole",
+            "--topology", "torus", "--dims", "6",
+            "--routing", "adaptive", "--vcs", "3",
+            "--assume-classes", "1", "--expect-cyclic",
+            "--emit-certificates", str(certs),
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "rung 3 (refuted) [native]: REJECTED (inconclusive)" in out
+        assert "cyclic as expected" in out
+        assert main(["verify-cdg", "--check-certificates", str(certs)]) == 0
+        assert "1/1 certificates replayed clean" in capsys.readouterr().out
+
+    def test_drifted_discipline_fails_a_proved_config(
+        self, capsys, monkeypatch
+    ):
+        # The analyzer's escape discipline drifts from the runtime's
+        # (classes inverted): the graph is isomorphic, so rung 1 still
+        # proves it acyclic -- the separation leg must fail the config
+        # anyway.
+        from repro.verify.cdg import EscapeSubfunction
+
+        real = EscapeSubfunction.options
+
+        def inverted(self, node, dst, bits):
+            return tuple(
+                (port, self.num_classes - 1 - cls)
+                for port, cls in real(self, node, dst, bits)
+            )
+
+        monkeypatch.setattr(EscapeSubfunction, "options", inverted)
         code = main([
             "verify-cdg", "--protocol", "wormhole",
             "--topology", "torus", "--dims", "4x4",
-            "--assume-classes", "1", "--backend", "smt",
-            "--expect-cyclic",
+        ])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "rung 1 (acyclicity) [native]: DEADLOCK-FREE" in out
+        assert "[FAIL] runtime_replay" in out
+        assert "0/1 configurations deadlock-free" in out
+
+    def test_takes_only_the_flags_that_shape_the_graph(self, capsys):
+        for flag in ("--backend", "--pattern", "--length", "--duration",
+                     "--max-cycles", "--deadlock-check",
+                     "--progress-timeout", "--fault-fraction", "--mtbf",
+                     "--mttr", "--fault-schedule", "--metrics-every"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify-cdg", flag, "1"])
+            assert exc.value.code == 2, flag
+        with pytest.raises(SystemExit):
+            main(["verify-cdg", "--reliable"])
+        with pytest.raises(SystemExit):
+            main(["verify-cdg", "--engine", "auto"])
+        capsys.readouterr()
+        # The wave parameters build_config needs still parse.
+        code = main([
+            "verify-cdg", "--dims", "4x4", "--wave-switches", "3",
+            "--misroute-budget", "1",
         ])
         assert code == 0
-        assert "cyclic as expected" in capsys.readouterr().out
+        assert "3 wave switch(es)" in capsys.readouterr().out
 
     def test_emit_and_check_certificates(self, tmp_path, capsys):
         certs = tmp_path / "certs"
         code = main([
             "verify-cdg", "--protocol", "wormhole",
             "--topology", "mesh", "--dims", "4x4",
-            "--backend", "smt", "--emit-certificates", str(certs),
+            "--emit-certificates", str(certs),
         ])
         assert code == 0
         files = list(certs.glob("*.json"))
@@ -418,7 +479,7 @@ class TestVerifyCdg:
         main([
             "verify-cdg", "--protocol", "wormhole",
             "--topology", "mesh", "--dims", "4x4",
-            "--backend", "smt", "--emit-certificates", str(certs),
+            "--emit-certificates", str(certs),
         ])
         path = next(certs.glob("*.json"))
         cert = json.loads(path.read_text(encoding="utf-8"))
@@ -451,8 +512,7 @@ class TestVerifyCdg:
         code = main([
             "verify-cdg", "--protocol", "wormhole",
             "--topology", "torus", "--dims", "4x4",
-            "--assume-classes", "1",
-            "--backend", "smt", "--seed-fuzzer", str(seeds),
+            "--assume-classes", "1", "--seed-fuzzer", str(seeds),
         ])
         assert code == 1
         assert "not seeding" in capsys.readouterr().out
@@ -467,17 +527,19 @@ class TestVerifyCdg:
         assert code == 2
         assert "pins" in capsys.readouterr().err
 
-    def test_smt_without_z3_prints_fallback_note(self, capsys):
+    def test_engine_z3_without_z3_exits_config_error(self, capsys):
         from repro.verify.smt import have_z3
 
         if have_z3():
-            pytest.skip("z3 installed; fallback note not expected")
+            pytest.skip("z3 installed; the cross-check runs instead")
         code = main([
             "verify-cdg", "--protocol", "wormhole",
-            "--topology", "mesh", "--dims", "4x4", "--backend", "smt",
+            "--topology", "mesh", "--dims", "4x4", "--engine", "z3",
         ])
-        assert code == 0
-        assert "native exact" in capsys.readouterr().out
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "z3-solver is not installed" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestFuzzCommand:

@@ -10,8 +10,8 @@ from repro.verify.cdg import (
     build_cdg,
     config_topology,
     find_cycle,
-    format_report,
 )
+from repro.verify.smt import format_report, verify_config
 
 
 def shipped_configs():
@@ -65,7 +65,9 @@ class TestCyclicConfigFlagged:
         assert {ch.vc_class for ch in report.cycle} == {0}
         # The offending chain is printable.
         assert "-->" in report.cycle_chain(topo)
-        assert "CYCLE" in format_report(report, topo)
+        assert "CYCLE" in format_report(
+            verify_config(config, assume_classes=1)
+        )
 
     def test_mesh_stays_acyclic_even_with_one_class(self):
         """Dally & Seitz: mesh DOR needs no VC classes at all."""
@@ -242,7 +244,7 @@ class TestFindCycle:
         assert find_cycle(edges) == []
 
     def test_self_loop(self):
-        # Structural degenerate case; _add_edge never creates these, but
+        # Structural degenerate case; the walker never creates these, but
         # the detector must not infinite-loop on one.
         edges = {self.c(0): {self.c(0)}}
         cycle = find_cycle(edges)

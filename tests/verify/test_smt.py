@@ -1,37 +1,52 @@
-"""Tests for the exact SMT-style verifier and its certificates.
+"""Tests for the proof ladder and its certificates.
 
-Covers the agreement property between the cycle-search analyzer and the
-exact prover on every shipped config, the union-graph over-approximation
-being resolved for adaptive configs, certificate round-trip and tamper
-rejection, solver-free replay, and the z3 engine when installed (skipped
-cleanly otherwise: the native engine decides the same constraints).
+Covers the agreement between the separation-leg analyzer and the ladder
+on every shipped config, the union-graph over-approximation being
+resolved for adaptive configs, certificate round-trip and tamper
+rejection, solver-free replay, and the z3 cross-check when installed
+(skipped cleanly otherwise: the native engine decides every verdict).
 """
 
 import copy
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cli import _shipped_verify_configs
 from repro.errors import ConfigError
 from repro.sim.config import NetworkConfig, WormholeConfig
-from repro.verify.cdg import analyze_config, build_cdg, config_topology
-from repro.verify.smt import (
+from repro.errors import ReproError
+from repro.verify import smt
+from repro.verify.cdg import (
     EscapeSubfunction,
-    build_extended_cdg,
-    build_union_cdg,
+    FullRelation,
+    analyze_config,
+    config_topology,
+    walk_dependencies,
+)
+from repro.verify.smt import (
     certificate_slug,
     check_certificate,
     check_certificate_files,
     dump_certificate,
+    format_report,
+    graph_fingerprint,
     have_z3,
     load_certificate,
     rejection_jobspecs,
+    solve_ranks,
     solve_ranks_native,
-    subfunction_connected,
-    verify_config,
 )
-from repro.wormhole.routing import AdaptiveRouting, make_routing
+from repro.wormhole.routing import make_routing
+
+
+def verify_config(*args, **kwargs):
+    """Every verdict this file asks for must replay its own certificate."""
+    report = smt.verify_config(*args, **kwargs)
+    check = check_certificate(report.certificate)
+    assert check.ok, check.errors
+    return report
 
 
 def _wormhole(topology, dims, routing="dor", vcs=2):
@@ -45,8 +60,8 @@ def shipped_ids():
     return [c.describe() for c in _shipped_verify_configs()]
 
 
-class TestBackendsAgreeOnShipped:
-    """Satellite: cycle search and SMT agree on all 11 shipped configs."""
+class TestLegsAgreeOnShipped:
+    """The separation leg and the ladder agree on all 11 shipped configs."""
 
     @pytest.mark.parametrize(
         "config", _shipped_verify_configs(), ids=shipped_ids()
@@ -54,11 +69,12 @@ class TestBackendsAgreeOnShipped:
     def test_native_agrees_with_search(self, config):
         search = analyze_config(config)
         smt = verify_config(config, engine="native")
-        # Shipped configs are all deadlock-free; the exact prover may
-        # only strengthen a search verdict (resolve over-approximation),
-        # never weaken it.
+        # Shipped configs are all deadlock-free, and all at rung 1: the
+        # designated graph the separation leg reports acyclic is the one
+        # the ladder ranks.
         assert search.ok
         assert smt.deadlock_free and smt.conclusive
+        assert smt.rung == 1 and not smt.cycle
         assert check_certificate(smt.certificate).ok
 
     @pytest.mark.parametrize(
@@ -76,13 +92,14 @@ class TestBackendsAgreeOnShipped:
 
     def test_negative_case_dateline_free_torus(self):
         # The documented negative: torus DOR without dateline classes is
-        # cyclic -- both backends must refute it, conclusively.
+        # cyclic -- both legs must refute it, conclusively.
         config = _wormhole("torus", (4, 4))
         search = analyze_config(config, assume_classes=1)
         smt = verify_config(config, assume_classes=1, engine="native")
         assert not search.acyclic
         assert not smt.deadlock_free and smt.conclusive
-        assert smt.method == "refuted"
+        assert smt.method == "refuted" and smt.rung == 3
+        assert smt.cycle == search.cycle
         assert check_certificate(smt.certificate).ok
 
     @pytest.mark.skipif(not have_z3(), reason="z3-solver not installed")
@@ -102,7 +119,9 @@ class TestOverApproximationResolved:
             config = _wormhole(topology, (4, 4), routing="adaptive", vcs=3)
             topo = config_topology(config)
             routing = make_routing("adaptive", topo, 3)
-            union = build_union_cdg(routing)
+            union, _ = walk_dependencies(
+                routing, FullRelation(routing, routing.num_classes)
+            )
             assert solve_ranks_native(union) is None, topology
             # ...yet the escape-subfunction proof certifies freedom.
             smt = verify_config(config, engine="native")
@@ -115,37 +134,50 @@ class TestOverApproximationResolved:
         # chains plus links around the ring), but the ring-split
         # subfunction is connected with an acyclic extended graph, so
         # Duato's theorem proves the config deadlock-free -- the genuine
-        # "search cyclic, SMT free" disagreement the audit must resolve.
+        # "designated graph cyclic, config free" case rung 2 exists for.
         config = _wormhole("torus", (4,), routing="adaptive", vcs=3)
         search = analyze_config(config, assume_classes=1)
         assert not search.acyclic
         smt = verify_config(config, assume_classes=1, engine="native")
         assert smt.deadlock_free and smt.conclusive
-        assert smt.method == "subrelation"
+        assert smt.method == "subrelation" and smt.rung == 2
         assert smt.subfunction == "ring-split-dor"
+        # The report keeps the cycle that failed rung 1, and says where.
+        assert smt.cycle == search.cycle
+        assert smt.cycle_graph == "escape-dor"
+        out = format_report(smt)
+        assert "CYCLE of 4 channels in the 'escape-dor' graph" in out
+        assert "rung 2 (subrelation) [native]: DEADLOCK-FREE" in out
         assert check_certificate(smt.certificate).ok
-
-    def test_extended_escape_graph_matches_analyzer(self):
-        # Coherence: build_extended_cdg with the escape subfunction must
-        # reproduce the analyzer's extended escape CDG edge for edge.
-        for topology, vcs in (("mesh", 3), ("torus", 3)):
-            config = _wormhole(topology, (4, 4), routing="adaptive", vcs=vcs)
-            topo = config_topology(config)
-            routing = make_routing("adaptive", topo, vcs)
-            assert isinstance(routing, AdaptiveRouting)
-            sub = EscapeSubfunction(routing, routing.num_classes)
-            ours = build_extended_cdg(routing, sub)
-            theirs = build_cdg(topo, routing)
-            assert {
-                k: set(v) for k, v in ours.items()
-            } == {k: set(v) for k, v in theirs.items()}
 
     def test_escape_subfunction_is_connected(self):
         config = _wormhole("torus", (4, 4), routing="adaptive", vcs=3)
         topo = config_topology(config)
         routing = make_routing("adaptive", topo, 3)
         sub = EscapeSubfunction(routing, routing.num_classes)
-        assert subfunction_connected(routing, sub)
+        _edges, connected = walk_dependencies(routing, sub)
+        assert connected
+
+    @pytest.mark.parametrize("dims", [(5,), (6,), (7,), (5, 4)], ids=str)
+    def test_family_exhausted_witness_replays_in_its_own_graph(self, dims):
+        # Dateline-free adaptive rings the whole family rejects.  The
+        # witness is a cycle of the escape discipline's *extended* graph,
+        # so that is the graph the certificate must name, fingerprint
+        # and replay -- not the union graph, where the chained
+        # dependency 4:0:0 -> 0:0:0 of the 6-ring does not exist.
+        config = _wormhole("torus", dims, routing="adaptive", vcs=3)
+        smt = verify_config(config, assume_classes=1)
+        assert not smt.deadlock_free and not smt.conclusive
+        assert smt.rung == 3 and smt.union_cyclic
+        cert = smt.certificate
+        assert cert["subfunction"] == smt.cycle_graph == "escape-dor"
+        routing = make_routing("adaptive", config_topology(config), 3)
+        escape, _ = walk_dependencies(routing, EscapeSubfunction(routing, 1))
+        assert cert["graph"] == graph_fingerprint(escape)
+        assert check_certificate(cert).ok
+        # Naming another graph must fail the replay, not be ignored.
+        wrong = dict(cert, subfunction="union")
+        assert not check_certificate(wrong).ok
 
 
 class TestCertificates:
@@ -230,11 +262,34 @@ class TestEngineSelection:
         with pytest.raises(ConfigError, match="z3-solver is not installed"):
             verify_config(_wormhole("mesh", (4, 4)), engine="z3")
 
-    @pytest.mark.skipif(have_z3(), reason="only meaningful without z3")
-    def test_auto_engine_falls_back_to_native(self):
-        smt = verify_config(_wormhole("mesh", (4, 4)), engine="auto")
+    def test_default_engine_is_native_whatever_is_installed(self):
+        smt = verify_config(_wormhole("mesh", (4, 4)))
         assert smt.engine == "native"
+        assert smt.certificate["engine"] == "native"
         assert smt.deadlock_free
+        with pytest.raises(ConfigError, match="unknown SMT engine"):
+            verify_config(_wormhole("mesh", (4, 4)), engine="auto")
+
+    def test_z3_is_a_cross_check_that_must_agree(self, monkeypatch):
+        # Stand-in solvers: agreement returns the cross-check's model,
+        # disagreement is an error -- z3 never overrules the decider.
+        acyclic = walk_dependencies(*self._mesh_escape())[0]
+        monkeypatch.setattr(
+            smt, "_z3", SimpleNamespace(get_version_string=lambda: "stub")
+        )
+        monkeypatch.setattr(smt, "solve_ranks_z3", solve_ranks_native)
+        ranks, engine = solve_ranks(acyclic, "z3")
+        assert engine == "z3-stub" and ranks == solve_ranks_native(acyclic)
+        monkeypatch.setattr(smt, "solve_ranks_z3", lambda edges: None)
+        with pytest.raises(ReproError, match="disagree"):
+            solve_ranks(acyclic, "z3")
+
+    @staticmethod
+    def _mesh_escape():
+        routing = make_routing(
+            "dor", config_topology(_wormhole("mesh", (4, 4))), 2
+        )
+        return routing, EscapeSubfunction(routing, routing.num_classes)
 
 
 class TestRejectionSeeding:
