@@ -27,7 +27,7 @@ class ExperimentResult:
     sim: SimulationResult
     mean_latency: float
     p95_latency: float
-    throughput: float  # accepted flits/node/cycle over the measured window
+    throughput: float  # accepted flits/endpoint/cycle over the measured window
     delivered: int
     injected: int
     mode_breakdown: dict[str, int] = field(default_factory=dict)
@@ -81,8 +81,10 @@ def run_experiment(
     delivered = stats.delivered_records()
     window_end = max((m.delivered for m in delivered), default=result.cycles)
     throughput_total = stats.throughput_flits_per_cycle(warmup, window_end + 1)
+    # Per endpoint, like the offered load: on a MIN the switch nodes
+    # neither inject nor accept traffic.
     per_node = (
-        throughput_total / net.topology.num_nodes
+        throughput_total / net.topology.num_endpoints
         if not math.isnan(throughput_total)
         else math.nan
     )

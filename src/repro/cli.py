@@ -22,6 +22,13 @@ contract -- every message delivered or reported, no deadlock.
 fan points out over worker processes -- results are bit-identical to a
 serial run, merged in job order.
 
+Every simulating subcommand takes one road: :func:`entry_from_args` maps
+the flags onto a campaign entry, ``spec_from_entry`` decodes it, and
+``prepare_job`` + ``PreparedJob.run`` build and run it -- in-process for
+``run`` / ``trace`` / ``heatmap`` (they render from the live network),
+in pool workers for the rest.  Flags and the campaign entry spelling the
+same values share a content key, hence a result-store record.
+
 Any simulating subcommand takes ``--fault-fraction`` (static dead links),
 ``--mtbf``/``--mttr`` (random dynamic campaign), ``--fault-schedule
 "cycle:kill|heal:node:port,..."`` (explicit events) and ``--reliable``
@@ -51,17 +58,13 @@ named either as a ``.jsonl`` path or ``sqlite:DIR``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
 from repro.analysis.report import format_table
 from repro.errors import ConfigError
-from repro.network.message import MessageFactory
-from repro.network.network import Network
 from repro.observe import (
     DEFAULT_TRACE_LIMIT,
-    NetworkSampler,
     Tracer,
     write_chrome_trace,
     write_metrics_jsonl,
@@ -69,100 +72,70 @@ from repro.observe import (
 from repro.observe.logbook import configure as configure_logging
 from repro.observe.logbook import get_logger
 from repro.orchestrate import (
-    JobSpec,
+    JobOutcome,
     PoolProgress,
-    ResultStore,
-    WorkloadRecipe,
+    config_from_mapping,
     load_campaign,
     open_store,
+    prepare_job,
     run_jobs,
+    spec_from_entry,
 )
-from repro.sim.config import (
-    NetworkConfig,
-    ReliabilityConfig,
-    WaveConfig,
-    WormholeConfig,
-)
-from repro.sim.engine import Simulator
-from repro.sim.rng import SimRandom
+from repro.orchestrate.campaign import set_dotted
+from repro.sim.config import NetworkConfig, WormholeConfig
 from repro.topology import (
     FaultSchedule,
-    FaultSet,
     build_topology,
     registered_topologies,
 )
-from repro.topology.faults import derive_fault_rng
-from repro.traffic.compiler import compile_directives
-from repro.traffic.patterns import make_pattern
-from repro.traffic.workloads import uniform_workload
 
 logger = get_logger("cli")
 
-
-def parse_dims(text: str) -> tuple[int, ...]:
-    try:
-        dims = tuple(int(part) for part in text.lower().split("x"))
-    except ValueError:
-        raise ConfigError(f"cannot parse dims {text!r}; expected e.g. 8x8")
-    if not dims:
-        raise ConfigError("dims must be non-empty")
-    return dims
-
-
-def build_config(args: argparse.Namespace, protocol: str | None = None) -> NetworkConfig:
-    protocol = protocol if protocol is not None else args.protocol
-    wave = None
-    if protocol != "wormhole":
-        wave = WaveConfig(
-            num_switches=args.wave_switches,
-            misroute_budget=args.misroute_budget,
-            wave_clock_ratio=args.wave_clock_ratio,
-            window=args.window,
-            circuit_cache_size=args.cache_size,
-            replacement=args.replacement,
-            clrp_variant=args.clrp_variant,
-        )
-    return NetworkConfig(
-        topology=args.topology,
-        dims=parse_dims(args.dims),
-        protocol=protocol,
-        wormhole=WormholeConfig(
-            vcs=args.vcs, routing=args.routing,
-            buffer_depth=getattr(
-                args, "buffer_depth", WormholeConfig.buffer_depth
-            ),
-        ),
-        wave=wave,
-        # verify-cdg takes the network flags only: what a simulation run
-        # alone reads falls back to the config's own defaults.
-        seed=getattr(args, "seed", NetworkConfig.seed),
-        reliability=(
-            ReliabilityConfig() if getattr(args, "reliable", False) else None
-        ),
-        backend=getattr(args, "backend", NetworkConfig.backend),
-    )
+# Where each flag's value (by argparse dest) lives in a campaign entry.
+# A subcommand maps exactly the flags it declares: verify-cdg has only
+# the network ones, so its entry is a bare machine description.
+_ENTRY_PATHS = {
+    **{name: name for name in (
+        "topology", "dims", "protocol", "seed", "backend", "label",
+        "max_cycles", "warmup", "fault_fraction", "progress_timeout",
+        "mtbf", "mttr", "metrics_every",
+    )},
+    "deadlock_check": "deadlock_check_interval",
+    **{name: f"wormhole.{name}" for name in ("vcs", "routing", "buffer_depth")},
+    **{name: f"workload.{name}"
+       for name in ("pattern", "load", "length", "duration")},
+    "wave_switches": "wave.num_switches",
+    "misroute_budget": "wave.misroute_budget",
+    "wave_clock_ratio": "wave.wave_clock_ratio",
+    "window": "wave.window",
+    "cache_size": "wave.circuit_cache_size",
+    "replacement": "wave.replacement",
+    "clrp_variant": "wave.clrp_variant",
+}
 
 
-def build_items(config: NetworkConfig, args: argparse.Namespace, load: float):
-    net_rng = SimRandom(args.seed)
-    # Only the topology is needed for patterns; building a full Network
-    # (routers, PCS units, caches at every node) per sweep point would be
-    # pure setup overhead.
-    topology = build_topology(config.topology, parse_dims(args.dims))
-    pattern = make_pattern(args.pattern, topology, net_rng.stream("pattern"))
-    msgs = uniform_workload(
-        MessageFactory(),
-        pattern,
-        num_nodes=config.num_nodes,
-        offered_load=load,
-        length=args.length,
-        duration=args.duration,
-        rng=net_rng,
-    )
-    if config.protocol == "carp":
-        items, _report = compile_directives(msgs)
-        return items
-    return msgs
+def entry_from_args(args: argparse.Namespace, **overrides) -> dict:
+    """The parsed flags, ``overrides`` winning, as a campaign entry.
+
+    The throughput window follows ``run_experiment`` methodology: warmup
+    at ``duration // 5`` (skip fill transient), window end at the last
+    delivery, so messages draining after the injection window count.
+    """
+    flags = {**vars(args), **overrides}
+    entry: dict = {}
+    for flag, path in _ENTRY_PATHS.items():
+        if flag in flags:
+            set_dotted(entry, path, flags[flag])
+    if "workload" in entry:
+        entry["workload"]["kind"] = "uniform"
+        entry.setdefault("warmup", flags["duration"] // 5)
+    if flags.get("reliable"):
+        entry["reliability"] = {}
+    if entry["protocol"] == "wormhole":
+        # The wave flags always parse to their defaults, but a wormhole
+        # machine has no wave plane (and its content key says so).
+        del entry["wave"]
+    return entry
 
 
 def parse_fault_schedule(text: str, topology) -> FaultSchedule:
@@ -195,98 +168,55 @@ def parse_fault_schedule(text: str, topology) -> FaultSchedule:
     return sched
 
 
-def build_faults(config: NetworkConfig, args: argparse.Namespace):
-    fraction = getattr(args, "fault_fraction", 0.0)
-    mtbf = getattr(args, "mtbf", 0)
-    schedule_text = getattr(args, "fault_schedule", None)
-    if not fraction and not mtbf and not schedule_text:
-        return None
-    if mtbf and schedule_text:
-        raise ConfigError("--mtbf and --fault-schedule are mutually exclusive")
-    topo = build_topology(config.topology, parse_dims(args.dims))
-    if mtbf:
-        faults = FaultSchedule.random_campaign(
-            topo,
-            mtbf=mtbf,
-            mttr=getattr(args, "mttr", 0),
-            horizon=args.max_cycles,
-            rng=derive_fault_rng(args.seed),
-        )
-    elif schedule_text:
-        faults = parse_fault_schedule(schedule_text, topo)
-    else:
-        faults = FaultSet(topo)
-    if fraction:
-        faults.fail_random_links(fraction, derive_fault_rng(args.seed))
-    return faults
+def run_direct(args: argparse.Namespace):
+    """One in-process run for ``run`` / ``trace`` / ``heatmap``.
 
-
-@dataclasses.dataclass
-class Observed:
-    """Observability instruments attached to a direct-run simulation."""
-
-    tracer: Tracer | None = None
-    sampler: NetworkSampler | None = None
-
-    @property
-    def registry(self):
-        return self.sampler.registry if self.sampler is not None else None
-
-
-def build_observability(net: Network, args: argparse.Namespace) -> Observed:
-    """Attach tracer/sampler to a network per the CLI flags."""
-    obs = Observed()
-    if getattr(args, "trace", False):
-        obs.tracer = Tracer(getattr(args, "trace_limit", DEFAULT_TRACE_LIMIT))
-        net.attach_event_log(obs.tracer)
-    every = getattr(args, "metrics_every", 0)
-    if getattr(args, "metrics_out", None) and not every:
+    The flags become a spec and :func:`prepare_job` builds it exactly as
+    a pool worker would; the live network is what these subcommands add:
+    a tracer goes on before the run, the trace JSON / metrics JSONL are
+    written after it, and the callers render from the network.  Returns
+    ``(network, simulation result, tracer)``.
+    """
+    if args.metrics_out and not args.metrics_every:
         raise ConfigError("--metrics-out requires --metrics-every N")
-    if every:
-        obs.sampler = NetworkSampler(net, every)
-    return obs
-
-
-def export_observability(args: argparse.Namespace, obs: Observed) -> None:
-    """Write trace JSON / metrics JSONL outputs requested by the flags."""
-    if obs.tracer is not None:
-        out = getattr(args, "trace_out", None) or "repro-trace.json"
-        count = write_chrome_trace(out, obs.tracer, registry=obs.registry)
-        s = obs.tracer.summary()
+    spec = spec_from_entry(entry_from_args(args))
+    faults = None
+    if args.fault_schedule:
+        faults = parse_fault_schedule(
+            args.fault_schedule,
+            build_topology(spec.config.topology, spec.config.dims),
+        )
+    job = prepare_job(spec, faults=faults)
+    net = job.network
+    tracer = None
+    if args.trace:
+        tracer = Tracer(args.trace_limit)
+        net.attach_event_log(tracer)
+    result = job.run().sim
+    registry = None
+    if job.sampler is not None:
+        # The exports keep the last partial sampling interval.
+        job.sampler.flush(net)
+        registry = job.sampler.registry
+    if tracer is not None:
+        out = args.trace_out or "repro-trace.json"
+        count = write_chrome_trace(out, tracer, registry=registry)
+        s = tracer.summary()
         logger.info(
             "trace: %d event(s) retained of %d emitted (%d dropped) "
             "-> %s (%d trace events)",
             s["retained"], s["emitted"], s["dropped"], out, count,
         )
-    metrics_out = getattr(args, "metrics_out", None)
-    if metrics_out and obs.registry is not None:
-        lines = write_metrics_jsonl(metrics_out, obs.registry)
-        logger.info("metrics: %d sample(s) -> %s", lines, metrics_out)
-
-
-def simulate(config: NetworkConfig, items, args: argparse.Namespace):
-    net = Network(config, faults=build_faults(config, args))
-    obs = build_observability(net, args)
-    sim = Simulator(
-        net,
-        items,
-        deadlock_check_interval=args.deadlock_check,
-        progress_timeout=args.progress_timeout,
-        sampler=obs.sampler,
-    )
-    result = sim.run(args.max_cycles)
-    if obs.sampler is not None:
-        obs.sampler.flush(net)
-    export_observability(args, obs)
-    return net, result, obs
+    if args.metrics_out:
+        lines = write_metrics_jsonl(args.metrics_out, registry)
+        logger.info("metrics: %d sample(s) -> %s", lines, args.metrics_out)
+    print(f"machine : {spec.config.describe()}")
+    print(f"result  : {result.summary()}")
+    return net, result, tracer
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = build_config(args)
-    items = build_items(config, args, args.load)
-    net, result, _obs = simulate(config, items, args)
-    print(f"machine : {config.describe()}")
-    print(f"result  : {result.summary()}")
+    net, result, _tracer = run_direct(args)
     breakdown = net.stats.mode_breakdown()
     if breakdown:
         total = sum(breakdown.values())
@@ -313,182 +243,124 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0 if result.delivered == result.injected else 1
 
 
-def job_spec(
+def log_progress(event: PoolProgress) -> None:
+    """Per-job progress line for the campaign-sized subcommands."""
+    if event.last is None:
+        if event.cached:
+            logger.info("[%d/%d] %d cached",
+                        event.done, event.total, event.cached)
+        return
+    outcome = event.last
+    state = outcome.status
+    if not outcome.ok:
+        state = f"failed:{outcome.failure['kind']}"
+    logger.info("[%d/%d] %s %s (%.1fs)", event.done, event.total,
+                state, outcome.spec.label, outcome.elapsed_s)
+
+
+def run_table(
     args: argparse.Namespace,
-    *,
-    load: float,
-    protocol: str | None = None,
-    label: str = "",
-) -> JobSpec:
-    """Turn parsed CLI arguments into one declarative sweep-point spec.
+    names: list,
+    specs: list,
+    headers: list[str],
+    row,
+    **pool_options,
+) -> list[JobOutcome]:
+    """Run specs through the pool and print one result table.
 
-    The throughput window follows ``run_experiment`` methodology: warmup
-    at ``duration // 5`` (skip fill transient), window end at the last
-    delivery -- so messages draining after the injection window still
-    count, unlike the old ``duration // 5 .. duration`` cut-off.
+    The one driver behind ``sweep`` / ``compare`` / ``chaos`` / ``batch``:
+    ``row(name, metrics, outcome)`` renders a finished job's cells after
+    its name; a failed job gets the row ``name, failed:<kind>, -, ...``
+    and a ``failure:`` paragraph under the table.  Returns the failed
+    outcomes -- a subcommand exits 0 only when there are none.
     """
-    config = build_config(args, protocol)
-    recipe = WorkloadRecipe.make(
-        "uniform",
-        pattern=args.pattern,
-        load=load,
-        length=args.length,
-        duration=args.duration,
-    )
-    return JobSpec(
-        config=config,
-        workload=recipe,
-        label=label or f"{config.protocol}@{load:g}",
-        max_cycles=args.max_cycles,
-        warmup=args.duration // 5,
-        fault_fraction=getattr(args, "fault_fraction", 0.0),
-        deadlock_check_interval=args.deadlock_check,
-        progress_timeout=args.progress_timeout,
-        mtbf=getattr(args, "mtbf", 0),
-        mttr=getattr(args, "mttr", 0),
-        metrics_every=getattr(args, "metrics_every", 0),
-    )
-
-
-def _store_from_args(args: argparse.Namespace):
-    path = getattr(args, "store", None)
-    return open_store(path) if path else None
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    loads = [float(x) for x in args.loads.split(",")]
-    specs = [job_spec(args, load=load) for load in loads]
-    outcomes = run_jobs(
-        specs, jobs=args.jobs, store=_store_from_args(args),
-        timeout_s=args.job_timeout,
-    )
-    rows = []
-    failures = 0
-    for load, outcome in zip(loads, outcomes):
-        if not outcome.ok:
-            failures += 1
-            logger.info("load %g: FAILED (%s: %s)", load,
-                        outcome.failure["kind"],
-                        outcome.failure["message"].splitlines()[0])
-            rows.append((load, "failed", "-", "-"))
-            continue
-        m = outcome.metrics
-        logger.info("load %g: throughput %.3f flits/node/cycle",
-                    load, m["throughput"])
-        rows.append(
-            (load, m["throughput"], m["mean_latency"],
-             f"{m['delivered']}/{m['injected']}")
-        )
-    print()
-    print(
-        format_table(
-            ["offered load", "accepted", "mean latency", "delivered"], rows
-        )
-    )
-    return 0 if failures == 0 else 1
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    protocols = ("wormhole", "clrp", "carp")
-    specs = [
-        job_spec(args, load=args.load, protocol=protocol, label=protocol)
-        for protocol in protocols
-    ]
-    outcomes = run_jobs(
-        specs, jobs=args.jobs, store=_store_from_args(args),
-        timeout_s=args.job_timeout,
-    )
-    rows = []
-    failures = 0
-    for protocol, outcome in zip(protocols, outcomes):
-        if not outcome.ok:
-            failures += 1
-            logger.info("%s: FAILED (%s)", protocol, outcome.failure["kind"])
-            rows.append((protocol, "failed", "-", "-"))
-            continue
-        m = outcome.metrics
-        rows.append(
-            (
-                protocol,
-                m["mean_latency"],
-                m["p95_latency"],
-                f"{m['delivered']}/{m['injected']}",
-            )
-        )
-        logger.info("%s: done (%d cycles)", protocol, m["cycles"])
-    print()
-    print(
-        format_table(
-            ["protocol", "mean latency", "p95 latency", "delivered"], rows
-        )
-    )
-    return 0 if failures == 0 else 1
-
-
-def cmd_batch(args: argparse.Namespace) -> int:
-    name, specs = load_campaign(args.campaign)
-    store_path = args.store or str(
-        Path(args.campaign).with_suffix(".results.jsonl")
-    )
-    store = open_store(store_path)
-    logger.info("campaign %s: %d jobs, store %s, jobs=%d",
-                name, len(specs), store_path, args.jobs)
-
-    def progress(event: PoolProgress) -> None:
-        if event.last is None:
-            if event.cached:
-                logger.info("[%d/%d] %d cached",
-                            event.done, event.total, event.cached)
-            return
-        outcome = event.last
-        state = outcome.status
-        if not outcome.ok:
-            state = f"failed:{outcome.failure['kind']}"
-        logger.info("[%d/%d] %s %s (%.1fs)", event.done, event.total,
-                    state, outcome.spec.label, outcome.elapsed_s)
-
     outcomes = run_jobs(
         specs,
         jobs=args.jobs,
         timeout_s=args.job_timeout,
-        retries=args.retries,
-        store=store,
-        progress=progress,
+        store=open_store(args.store) if args.store else None,
+        **pool_options,
     )
     rows = []
-    failures = []
-    for outcome in outcomes:
+    failed = []
+    for name, outcome in zip(names, outcomes):
         if outcome.ok:
-            m = outcome.metrics
-            rows.append(
-                (
-                    outcome.spec.label,
-                    "cached" if outcome.from_cache else "ok",
-                    m["mean_latency"],
-                    m["throughput"],
-                    f"{m['delivered']}/{m['injected']}",
-                )
-            )
+            rows.append((name, *row(name, outcome.metrics, outcome)))
         else:
-            failures.append(outcome)
+            failed.append(outcome)
             rows.append(
-                (outcome.spec.label, f"failed:{outcome.failure['kind']}",
-                 "-", "-", "-")
+                (name, f"failed:{outcome.failure['kind']}")
+                + ("-",) * (len(headers) - 2)
             )
     print()
-    print(
-        format_table(
-            ["job", "status", "mean latency", "throughput", "delivered"],
-            rows,
-        )
-    )
-    for outcome in failures:
+    print(format_table(headers, rows))
+    for outcome in failed:
         print(f"\nfailure: {outcome.spec.label} "
               f"({outcome.failure['kind']}, {outcome.attempts} attempt(s))")
         print(f"  {outcome.failure['message'].splitlines()[0]}")
-    print(f"\n{len(outcomes) - len(failures)}/{len(outcomes)} jobs ok; "
+    return failed
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    loads = [float(x) for x in args.loads.split(",")]
+    specs = [
+        spec_from_entry(
+            entry_from_args(args, load=load, label=f"{args.protocol}@{load:g}")
+        )
+        for load in loads
+    ]
+
+    def row(load, m, _outcome):
+        logger.info("load %g: throughput %.3f flits/node/cycle",
+                    load, m["throughput"])
+        return (m["throughput"], m["mean_latency"],
+                f"{m['delivered']}/{m['injected']}")
+
+    failed = run_table(
+        args, loads, specs,
+        ["offered load", "accepted", "mean latency", "delivered"], row,
+    )
+    return 0 if not failed else 1
+
+
+def cmd_compare(args: argparse.Namespace) -> int:
+    protocols = ["wormhole", "clrp", "carp"]
+    specs = [
+        spec_from_entry(entry_from_args(args, protocol=protocol, label=protocol))
+        for protocol in protocols
+    ]
+
+    def row(protocol, m, _outcome):
+        logger.info("%s: done (%d cycles)", protocol, m["cycles"])
+        return (m["mean_latency"], m["p95_latency"],
+                f"{m['delivered']}/{m['injected']}")
+
+    failed = run_table(
+        args, protocols, specs,
+        ["protocol", "mean latency", "p95 latency", "delivered"], row,
+    )
+    return 0 if not failed else 1
+
+
+def cmd_batch(args: argparse.Namespace) -> int:
+    name, specs = load_campaign(args.campaign)
+    if not args.store:
+        args.store = str(Path(args.campaign).with_suffix(".results.jsonl"))
+    logger.info("campaign %s: %d jobs, store %s, jobs=%d",
+                name, len(specs), args.store, args.jobs)
+
+    def row(_label, m, outcome):
+        return ("cached" if outcome.from_cache else "ok", m["mean_latency"],
+                m["throughput"], f"{m['delivered']}/{m['injected']}")
+
+    failed = run_table(
+        args, [spec.label for spec in specs], specs,
+        ["job", "status", "mean latency", "throughput", "delivered"], row,
+        retries=args.retries, progress=log_progress,
+    )
+    print(f"\n{len(specs) - len(failed)}/{len(specs)} jobs ok; "
           f"re-run to retry failures (completed points are cached).")
-    return 0 if not failures else 1
+    return 0 if not failed else 1
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -500,64 +372,32 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     every injected message is either delivered or reported as an explicit
     DeliveryFailure: ``injected == delivered + delivery_failures``.
     """
-    if getattr(args, "fault_schedule", None):
+    if args.fault_schedule:
         raise ConfigError("chaos derives its own schedule; drop --fault-schedule")
     protocols = [p.strip() for p in args.protocols.split(",") if p.strip()]
     seeds = [int(s) for s in args.seeds.split(",")]
     mtbf = args.mtbf or 2000
-    specs = []
-    points = []
-    for protocol in protocols:
-        for seed in seeds:
-            config = dataclasses.replace(
-                build_config(args, protocol),
-                seed=seed,
-                reliability=ReliabilityConfig(),
+    specs = [
+        spec_from_entry(
+            entry_from_args(
+                args, protocol=protocol, seed=seed, reliable=True, mtbf=mtbf,
+                deadlock_check=args.deadlock_check or 256,
+                # No throughput is read here, and stores written before
+                # the flags shared one mapping carry no warmup.
+                warmup=0, label=f"chaos/{protocol}#{seed}",
             )
-            recipe = WorkloadRecipe.make(
-                "uniform",
-                pattern=args.pattern,
-                load=args.load,
-                length=args.length,
-                duration=args.duration,
-            )
-            specs.append(
-                JobSpec(
-                    config=config,
-                    workload=recipe,
-                    label=f"chaos/{protocol}#{seed}",
-                    max_cycles=args.max_cycles,
-                    fault_fraction=getattr(args, "fault_fraction", 0.0),
-                    deadlock_check_interval=args.deadlock_check or 256,
-                    progress_timeout=args.progress_timeout,
-                    mtbf=mtbf,
-                    mttr=args.mttr,
-                    metrics_every=getattr(args, "metrics_every", 0),
-                )
-            )
-            points.append(f"{protocol}#{seed}")
+        )
+        for protocol in protocols
+        for seed in seeds
+    ]
     logger.info("chaos: %d runs (%s %s, mtbf=%d, mttr=%d, load=%g)",
                 len(specs), args.dims, args.topology, mtbf, args.mttr,
                 args.load)
-    outcomes = run_jobs(
-        specs, jobs=args.jobs, store=_store_from_args(args),
-        timeout_s=args.job_timeout,
-    )
-    rows = []
     violations = []
-    for point, outcome in zip(points, outcomes):
-        if not outcome.ok:
-            violations.append(
-                f"{point}: {outcome.failure['kind']}: "
-                f"{outcome.failure['message'].splitlines()[0]}"
-            )
-            rows.append((point, "failed", "-", "-", "-", "-"))
-            continue
-        m = outcome.metrics
+
+    def row(point, m, _outcome):
         counters = m["counters"]
         failures = counters.get("reliability.delivery_failures", 0)
-        kills = counters.get("fault.links_killed", 0)
-        retransmits = counters.get("reliability.retransmits", 0)
         unaccounted = m["injected"] - m["delivered"] - failures
         status = "ok"
         if not m["completed"]:
@@ -571,22 +411,21 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 f"(injected {m['injected']}, delivered {m['delivered']}, "
                 f"reported failures {failures})"
             )
-        rows.append(
-            (point, status, f"{m['delivered']}/{m['injected']}",
-             failures, retransmits, kills)
-        )
-    print()
-    print(
-        format_table(
-            ["run", "status", "delivered", "reported failures",
-             "retransmits", "links killed"],
-            rows,
-        )
+        return (status, f"{m['delivered']}/{m['injected']}", failures,
+                counters.get("reliability.retransmits", 0),
+                counters.get("fault.links_killed", 0))
+
+    points = [spec.label.removeprefix("chaos/") for spec in specs]
+    failed = run_table(
+        args, points, specs,
+        ["run", "status", "delivered", "reported failures",
+         "retransmits", "links killed"], row,
     )
     if violations:
         print()
         for line in violations:
             print(f"violation: {line}")
+    if failed or violations:
         return 1
     print("\nall runs drained: every message delivered or reported, "
           "no deadlock detected.")
@@ -597,21 +436,17 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """Run one configuration fully traced and export the Perfetto JSON.
 
     ``args.trace`` is forced on by the subcommand defaults, so
-    :func:`simulate` attaches the ring-buffer tracer and writes the
+    :func:`run_direct` attaches the ring-buffer tracer and writes the
     Chrome trace (plus the JSONL metrics dump when requested); this
     command adds the per-kind event census on top of the run report.
     """
-    config = build_config(args)
-    items = build_items(config, args, args.load)
-    net, result, obs = simulate(config, items, args)
-    print(f"machine : {config.describe()}")
-    print(f"result  : {result.summary()}")
-    summary = obs.tracer.summary()
+    _net, result, tracer = run_direct(args)
+    summary = tracer.summary()
     print()
     print(
         format_table(
             ["event kind", "count"],
-            sorted(obs.tracer.kind_counts().items()),
+            sorted(tracer.kind_counts().items()),
         )
     )
     span = f"{summary['first_cycle']}..{summary['last_cycle']}"
@@ -624,11 +459,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_heatmap(args: argparse.Namespace) -> int:
     from repro.analysis.viz import link_loadmap, node_heatmap
 
-    config = build_config(args)
-    items = build_items(config, args, args.load)
-    net, result, _obs = simulate(config, items, args)
-    print(f"machine : {config.describe()}")
-    print(f"result  : {result.summary()}\n")
+    net, _result, _tracer = run_direct(args)
+    print()
     print(link_loadmap(net, title=f"link load at offered {args.load:g}"))
     print()
     print(node_heatmap(
@@ -884,7 +716,10 @@ def cmd_verify_cdg(args: argparse.Namespace) -> int:
     if args.check_certificates:
         return _check_certificate_dir(args.check_certificates)
 
-    configs = _shipped_verify_configs() if args.all else [build_config(args)]
+    if args.all:
+        configs = _shipped_verify_configs()
+    else:
+        configs = [config_from_mapping(entry_from_args(args))]
     failures = 0
     for config in configs:
         print(f"== {config.describe()}")
@@ -946,27 +781,14 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"replay failed: {signature}")
         return 1
 
-    store = open_store(args.store) if args.store else None
-
-    def progress(event: PoolProgress) -> None:
-        if event.last is None:
-            if event.cached:
-                logger.info("[%d/%d] %d cached",
-                            event.done, event.total, event.cached)
-            return
-        outcome = event.last
-        state = outcome.status if outcome.ok else "FAILED"
-        logger.info("[%d/%d] %s %s (%.1fs)", event.done, event.total,
-                    state, outcome.spec.label, outcome.elapsed_s)
-
     report = fuzz_campaign(
         args.budget,
         master_seed=args.seed,
         jobs=args.jobs,
-        store=store,
+        store=open_store(args.store) if args.store else None,
         timeout_s=args.job_timeout,
         shrink_failures=not args.no_shrink,
-        progress=progress,
+        progress=log_progress,
     )
     print(f"\nfuzz: {report.passed}/{report.budget} scenarios passed "
           f"({report.from_cache} cached), seed {report.master_seed}")
@@ -1079,13 +901,20 @@ def make_parser() -> argparse.ArgumentParser:
                        help="JSONL metrics dump path "
                             "(requires --metrics-every)")
 
+    def add_point(p: argparse.ArgumentParser, *, protocol: str | None = None,
+                  load: float | None = None) -> None:
+        """The protocol and offered load, where a subcommand fixes one."""
+        if protocol is not None:
+            p.add_argument("--protocol", default=protocol,
+                           choices=["wormhole", "clrp", "carp"])
+        if load is not None:
+            p.add_argument("--load", type=float, default=load,
+                           help="offered load (flits/node/cycle)")
+
     run_p = sub.add_parser("run", help="simulate one configuration")
     add_common(run_p)
     add_trace_flags(run_p)
-    run_p.add_argument("--protocol", default="clrp",
-                       choices=["wormhole", "clrp", "carp"])
-    run_p.add_argument("--load", type=float, default=0.2,
-                       help="offered load (flits/node/cycle)")
+    add_point(run_p, protocol="clrp", load=0.2)
     run_p.set_defaults(func=cmd_run)
 
     trace_p = sub.add_parser(
@@ -1095,10 +924,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     add_common(trace_p)
     add_trace_flags(trace_p, toggle=False)
-    trace_p.add_argument("--protocol", default="clrp",
-                         choices=["wormhole", "clrp", "carp"])
-    trace_p.add_argument("--load", type=float, default=0.2,
-                         help="offered load (flits/node/cycle)")
+    add_point(trace_p, protocol="clrp", load=0.2)
     trace_p.set_defaults(func=cmd_trace, trace=True)
 
     def add_orchestration(p: argparse.ArgumentParser) -> None:
@@ -1106,7 +932,8 @@ def make_parser() -> argparse.ArgumentParser:
                        help="worker processes (1 = serial; results are "
                             "bit-identical either way)")
         p.add_argument("--store", default=None,
-                       help="JSONL result store path for caching/resume")
+                       help="result store for caching/resume: a .jsonl "
+                            "path or sqlite:DIR")
         p.add_argument("--job-timeout", type=float, default=None,
                        help="per-job wall-clock timeout in seconds "
                             "(enforced with --jobs >= 2)")
@@ -1114,8 +941,7 @@ def make_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="throughput vs offered load")
     add_common(sweep_p)
     add_orchestration(sweep_p)
-    sweep_p.add_argument("--protocol", default="clrp",
-                         choices=["wormhole", "clrp", "carp"])
+    add_point(sweep_p, protocol="clrp")
     sweep_p.add_argument("--loads", default="0.1,0.2,0.4,0.6",
                          help="comma-separated offered loads")
     sweep_p.set_defaults(func=cmd_sweep)
@@ -1123,7 +949,7 @@ def make_parser() -> argparse.ArgumentParser:
     cmp_p = sub.add_parser("compare", help="wormhole vs CLRP vs CARP")
     add_common(cmp_p)
     add_orchestration(cmp_p)
-    cmp_p.add_argument("--load", type=float, default=0.2)
+    add_point(cmp_p, load=0.2)
     cmp_p.set_defaults(func=cmd_compare)
 
     batch_p = sub.add_parser(
@@ -1131,14 +957,11 @@ def make_parser() -> argparse.ArgumentParser:
         help="run a campaign file through the orchestrator "
              "(caching + resume; see repro.orchestrate.campaign)",
     )
-    batch_p.add_argument("campaign", help="path to a campaign JSON file")
-    batch_p.add_argument("--jobs", type=int, default=1,
-                         help="worker processes (1 = serial)")
-    batch_p.add_argument("--store", default=None,
-                         help="JSONL result store (default: "
-                              "<campaign>.results.jsonl next to the file)")
-    batch_p.add_argument("--job-timeout", type=float, default=None,
-                         help="per-job wall-clock timeout in seconds")
+    batch_p.add_argument("campaign",
+                         help="path to a campaign JSON file (without "
+                              "--store, results go to "
+                              "<campaign>.results.jsonl next to it)")
+    add_orchestration(batch_p)
     batch_p.add_argument("--retries", type=int, default=1,
                          help="extra attempts for jobs whose worker crashed")
     batch_p.set_defaults(func=cmd_batch)
@@ -1155,8 +978,7 @@ def make_parser() -> argparse.ArgumentParser:
     chaos_p.add_argument("--seeds", default="0,1,2",
                          help="comma-separated seeds (one run per "
                               "protocol x seed)")
-    chaos_p.add_argument("--load", type=float, default=0.1,
-                         help="offered load (flits/node/cycle)")
+    add_point(chaos_p, load=0.1)
     chaos_p.set_defaults(func=cmd_chaos)
 
     cdg_p = sub.add_parser(
@@ -1165,8 +987,7 @@ def make_parser() -> argparse.ArgumentParser:
              "channel-dependency graph (no simulation)",
     )
     add_network(cdg_p)
-    cdg_p.add_argument("--protocol", default="clrp",
-                       choices=["wormhole", "clrp", "carp"])
+    add_point(cdg_p, protocol="clrp")
     cdg_p.add_argument("--all", action="store_true",
                        help="check every shipped configuration instead of "
                             "the one described by the flags")
@@ -1348,9 +1169,7 @@ def make_parser() -> argparse.ArgumentParser:
                             help="link-load heat map of one run (2-D mesh)")
     add_common(heat_p)
     add_trace_flags(heat_p)
-    heat_p.add_argument("--protocol", default="wormhole",
-                        choices=["wormhole", "clrp", "carp"])
-    heat_p.add_argument("--load", type=float, default=0.3)
+    add_point(heat_p, protocol="wormhole", load=0.3)
     heat_p.set_defaults(func=cmd_heatmap)
 
     return parser

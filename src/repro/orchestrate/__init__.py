@@ -34,12 +34,20 @@ from repro.orchestrate.recipes import (
     register_recipe,
 )
 from repro.orchestrate.runner import (
+    PreparedJob,
     delivery_ratio,
     execute_job,
     metrics_to_experiment_result,
+    prepare_job,
     result_to_metrics,
 )
-from repro.orchestrate.spec import JobSpec, WorkloadRecipe, recipe_from_dict
+from repro.orchestrate.spec import (
+    JobSpec,
+    WorkloadRecipe,
+    config_from_mapping,
+    parse_dims,
+    recipe_from_dict,
+)
 from repro.orchestrate.store import (
     BaseResultStore,
     CompactStats,
@@ -61,9 +69,11 @@ __all__ = [
     "JobOutcome",
     "JobSpec",
     "PoolProgress",
+    "PreparedJob",
     "ResultStore",
     "WorkloadRecipe",
     "build_workload",
+    "config_from_mapping",
     "delivery_ratio",
     "execute_job",
     "expand_entries",
@@ -72,6 +82,8 @@ __all__ = [
     "load_campaign",
     "materialize_spec",
     "parse_campaign",
+    "parse_dims",
+    "prepare_job",
     "SERVICE_FIELDS",
     "metrics_to_experiment_result",
     "recipe_from_dict",

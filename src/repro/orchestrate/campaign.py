@@ -25,47 +25,44 @@ resume.  Schema::
 ``jobs`` entries are appended after.  Every entry is deep-merged over
 ``defaults`` and becomes a :class:`~repro.orchestrate.spec.JobSpec`.
 Entry fields: ``topology``, ``dims`` (list or ``"8x8"`` string),
-``protocol``, ``seed``, ``wormhole`` / ``wave`` (config kwargs),
-``workload`` (recipe dict), ``label``, ``max_cycles``, ``warmup``,
-``fault_fraction``, ``deadlock_check_interval``, ``progress_timeout``.
+``protocol``, ``seed``, ``backend``, ``wormhole`` / ``wave`` /
+``reliability`` (config kwargs; ``"reliability": {}`` turns the
+ack/retransmit layer on with its defaults), ``workload`` (recipe dict),
+``label``, ``max_cycles``, ``warmup``, ``fault_fraction``,
+``deadlock_check_interval``, ``progress_timeout``, ``mtbf``, ``mttr``,
+``metrics_every``, ``invariants_every``.  The machine fields go through
+``config_from_mapping``, the decoder stored specs and the CLI flags
+share.  Any other key is a :class:`~repro.errors.ConfigError` naming it
+(a misspelt ``"max_cycle"`` must not silently run with the default
+budget), except the submission-only :data:`SERVICE_FIELDS`: ignored.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import fields
 from pathlib import Path
 
 from repro.errors import ConfigError
-from repro.orchestrate.spec import JobSpec, recipe_from_dict
-from repro.sim.config import NetworkConfig, WaveConfig, WormholeConfig
-
-_SPEC_FIELDS = (
-    "max_cycles",
-    "warmup",
-    "fault_fraction",
-    "deadlock_check_interval",
-    "progress_timeout",
-    "mtbf",
-    "mttr",
-    "metrics_every",
-    "invariants_every",
+from repro.orchestrate.spec import (
+    RUN_FIELDS,
+    JobSpec,
+    config_from_mapping,
+    recipe_from_dict,
 )
+from repro.sim.config import NetworkConfig
 
-# Campaign-document fields that configure *submission* (the service
-# layer: repro.service) rather than the simulation itself.  They are
-# ignored by entry expansion so a serviceful campaign file still runs
+# Campaign fields that configure *submission* (the service layer:
+# repro.service) rather than the simulation itself.  An entry may carry
+# them; they are ignored, so a serviceful campaign file still runs
 # byte-identically through `repro batch`.
 SERVICE_FIELDS = ("tenant", "priority")
 
-
-def _parse_dims(value) -> tuple[int, ...]:
-    if isinstance(value, str):
-        try:
-            return tuple(int(part) for part in value.lower().split("x"))
-        except ValueError:
-            raise ConfigError(f"cannot parse dims {value!r}; expected e.g. 8x8")
-    return tuple(int(v) for v in value)
+# An entry is a NetworkConfig's fields and a JobSpec's other fields, flat.
+_ENTRY_FIELDS = frozenset(
+    f.name for f in fields(NetworkConfig) + fields(JobSpec)
+).difference(["config"]).union(SERVICE_FIELDS)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -78,7 +75,8 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return merged
 
 
-def _set_dotted(entry: dict, path: str, value) -> None:
+def set_dotted(entry: dict, path: str, value) -> None:
+    """``entry["a"]["b"] = value`` for the dotted path ``"a.b"``."""
     parts = path.split(".")
     node = entry
     for part in parts[:-1]:
@@ -100,7 +98,7 @@ def expand_entries(data: dict) -> list[dict]:
         for combo in itertools.product(*(grid[p] for p in paths)):
             entry: dict = {}
             for path, value in zip(paths, combo):
-                _set_dotted(entry, path, value)
+                set_dotted(entry, path, value)
             entries.append(entry)
     entries.extend(data.get("jobs", []))
     if not entries:
@@ -110,23 +108,18 @@ def expand_entries(data: dict) -> list[dict]:
 
 def spec_from_entry(entry: dict) -> JobSpec:
     """Build one JobSpec from a merged campaign entry."""
+    unknown = entry.keys() - _ENTRY_FIELDS
+    if unknown:
+        raise ConfigError(
+            f"unknown campaign entry field(s) {sorted(unknown)}; "
+            f"accepted: {', '.join(sorted(_ENTRY_FIELDS))}"
+        )
     if "workload" not in entry:
         raise ConfigError("campaign entry needs a 'workload' recipe")
-    protocol = entry.get("protocol", "clrp")
-    wave = None
-    if protocol != "wormhole" or "wave" in entry:
-        wave = WaveConfig(**entry.get("wave", {}))
-    config = NetworkConfig(
-        topology=entry.get("topology", "mesh"),
-        dims=_parse_dims(entry.get("dims", (8, 8))),
-        protocol=protocol,
-        wormhole=WormholeConfig(**entry.get("wormhole", {})),
-        wave=wave,
-        seed=int(entry.get("seed", 0)),
-    )
+    config = config_from_mapping(entry)
     workload = recipe_from_dict(entry["workload"])
     label = entry.get("label") or _default_label(config, entry["workload"])
-    kwargs = {name: entry[name] for name in _SPEC_FIELDS if name in entry}
+    kwargs = {name: entry[name] for name in RUN_FIELDS if name in entry}
     return JobSpec(config=config, workload=workload, label=label, **kwargs)
 
 
@@ -165,6 +158,4 @@ def load_campaign(path) -> tuple[str, list[JobSpec]]:
         raise ConfigError(f"cannot read campaign {path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"campaign {path} is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise ConfigError(f"campaign {path} must be a JSON object")
     return parse_campaign(data, default_name=path.stem)

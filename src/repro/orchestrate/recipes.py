@@ -111,9 +111,10 @@ def _explicit(spec: JobSpec, topology: Topology) -> list:
 def _uniform(spec: JobSpec, topology: Topology) -> list:
     """Open-loop load against a named traffic pattern.
 
-    Mirrors the CLI's workload construction exactly (master RNG from
-    ``config.seed``, pattern on the ``"pattern"`` stream) so a CLI sweep
-    point and the equivalent campaign job share one derivation.
+    Master RNG from ``config.seed``, pattern on the ``"pattern"``
+    stream.  The CLI's ``--pattern/--load/--length/--duration`` flags
+    become this recipe, so a CLI run and the equivalent campaign job
+    share this one derivation.
     """
     recipe = spec.workload
     rng = SimRandom(spec.config.seed)

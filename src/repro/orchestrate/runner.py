@@ -1,11 +1,18 @@
 """Executing one JobSpec: the unit of work a pool worker performs.
 
-:func:`execute_job` is deliberately the *only* path from a spec to a
-result -- the serial ``jobs=1`` degenerate case and every pool worker
-call the same function, which is what makes the parallel/serial
-bit-identical equivalence a structural property rather than a test
-hope.  It returns a plain JSON-serialisable metrics dict (picklable
-across the process boundary, storable in the JSONL result store).
+:func:`prepare_job` followed by :meth:`PreparedJob.run` is the *only*
+path from a spec to a result.  :func:`execute_job` is the two back to
+back -- the serial ``jobs=1`` degenerate case and every pool worker call
+it, which is what makes the parallel/serial bit-identical equivalence a
+structural property rather than a test hope.  It returns a plain
+JSON-serialisable metrics dict (picklable across the process boundary,
+storable in the JSONL result store).
+
+The split exists for callers that need the live
+:class:`~repro.network.network.Network` around the run: ``repro run`` /
+``trace`` / ``heatmap`` attach a tracer before it and render link loads
+and latency tables from it afterwards, on exactly the machine, traffic
+and faults a worker would have built.
 
 ``run_experiment`` is resolved late (module attribute lookup at call
 time) so tests that monkeypatch
@@ -16,8 +23,11 @@ runs too.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.analysis import experiments as _experiments
+from repro.errors import ConfigError
 from repro.network.network import Network
 from repro.observe.metrics import NetworkSampler
 from repro.orchestrate.recipes import build_workload
@@ -25,6 +35,7 @@ from repro.orchestrate.spec import JobSpec
 from repro.sim.engine import SimulationResult
 from repro.sim.stats import StatsCollector
 from repro.topology import FaultSchedule, FaultSet, build_topology
+from repro.topology.base import Topology
 from repro.topology.faults import derive_fault_rng
 from repro.traffic.compiler import compile_directives
 from repro.verify import (
@@ -33,15 +44,86 @@ from repro.verify import (
     teardown_latency,
 )
 
+if TYPE_CHECKING:  # verify.fuzz imports the pool, which imports this module
+    from repro.verify.fuzz import InvariantHarness
 
-def execute_job(spec: JobSpec) -> dict:
-    """Run one spec to completion and return its metrics dict."""
+
+@dataclass
+class PreparedJob:
+    """Everything a spec describes, built and wired but not yet run."""
+
+    spec: JobSpec
+    topology: Topology
+    items: list
+    faults: FaultSet | None
+    network: Network
+    sampler: NetworkSampler | None
+    harness: InvariantHarness | None
+
+    def run(self) -> "_experiments.ExperimentResult":
+        """Simulate to completion, then audit the network's end state."""
+        spec, net, harness = self.spec, self.network, self.harness
+        result = _experiments.run_experiment(
+            spec.config,
+            self.items,
+            label=spec.label,
+            max_cycles=spec.max_cycles,
+            warmup=spec.warmup,
+            deadlock_check_interval=spec.deadlock_check_interval,
+            progress_timeout=spec.progress_timeout,
+            network=net,
+            sampler=self.sampler,
+            on_cycle=harness.on_cycle if harness is not None else None,
+        )
+        if harness is not None:
+            harness.finish(result)
+        # Every run ends with a structural audit: the distributed
+        # register state must be coherent, and -- once the last kill's
+        # teardowns have had time to settle -- nothing live may still
+        # reference a dead link.
+        check_all_invariants(net)
+        if isinstance(self.faults, FaultSchedule) and net.cycle >= (
+            self.faults.last_kill_cycle + teardown_latency(net)
+        ):
+            check_fault_isolation(net)
+        return result
+
+    def metrics(self, result) -> dict:
+        """The job's storable metrics dict for a finished :meth:`run`."""
+        metrics = result_to_metrics(result)
+        if self.harness is not None:
+            metrics["invariants"] = {
+                "every": self.spec.invariants_every,
+                "checks": self.harness.checks_run,
+            }
+        if self.sampler is not None:
+            # Per-job metric summary rides with the result into the
+            # store; the full time series stays in the worker (summaries
+            # are small and JSON-able, series are not worth a
+            # process-boundary copy).
+            metrics["observe"] = {
+                "every": self.spec.metrics_every,
+                "samples": self.sampler.samples_taken,
+                "series": self.sampler.registry.summary(),
+            }
+        return metrics
+
+
+def prepare_job(spec: JobSpec, *, faults: FaultSet | None = None) -> PreparedJob:
+    """Build the spec's traffic, fault set, network and instruments.
+
+    Args:
+        faults: an explicit fault set or schedule (``--fault-schedule``)
+            standing in for the seeded campaign ``spec.mtbf`` would
+            derive; ``spec.fault_fraction`` still layers onto it.
+    """
     config = spec.config
+    if faults is not None and spec.mtbf:
+        raise ConfigError("--mtbf and --fault-schedule are mutually exclusive")
     topology = build_topology(config.topology, config.dims)
     items = build_workload(spec, topology)
     if config.protocol == "carp":
         items, _report = compile_directives(items)
-    faults = None
     if spec.mtbf:
         faults = FaultSchedule.random_campaign(
             topology,
@@ -59,11 +141,7 @@ def execute_job(spec: JobSpec) -> dict:
         faults.fail_random_links(
             spec.fault_fraction, derive_fault_rng(config.seed)
         )
-    net = (
-        Network(config, faults=faults)
-        if faults is not None or spec.metrics_every or spec.invariants_every
-        else None
-    )
+    net = Network(config, faults=faults)
     sampler = None
     if spec.metrics_every:
         sampler = NetworkSampler(net, spec.metrics_every)
@@ -72,47 +150,13 @@ def execute_job(spec: JobSpec) -> dict:
         from repro.verify.fuzz import InvariantHarness
 
         harness = InvariantHarness(net, every=spec.invariants_every)
-    result = _experiments.run_experiment(
-        config,
-        items,
-        label=spec.label,
-        max_cycles=spec.max_cycles,
-        warmup=spec.warmup,
-        deadlock_check_interval=spec.deadlock_check_interval,
-        progress_timeout=spec.progress_timeout,
-        faults=faults,
-        network=net,
-        sampler=sampler,
-        on_cycle=harness.on_cycle if harness is not None else None,
-    )
-    if harness is not None:
-        harness.finish(result)
-    if net is not None:
-        # Fault runs end with a structural audit: the distributed
-        # register state must be coherent, and -- once the last kill's
-        # teardowns have had time to settle -- nothing live may still
-        # reference a dead link.
-        check_all_invariants(net)
-        if isinstance(faults, FaultSchedule) and net.cycle >= (
-            faults.last_kill_cycle + teardown_latency(net)
-        ):
-            check_fault_isolation(net)
-    metrics = result_to_metrics(result)
-    if harness is not None:
-        metrics["invariants"] = {
-            "every": spec.invariants_every,
-            "checks": harness.checks_run,
-        }
-    if sampler is not None:
-        # Per-job metric summary rides with the result into the store;
-        # the full time series stays in the worker (summaries are small
-        # and JSON-able, series are not worth a process-boundary copy).
-        metrics["observe"] = {
-            "every": spec.metrics_every,
-            "samples": sampler.samples_taken,
-            "series": sampler.registry.summary(),
-        }
-    return metrics
+    return PreparedJob(spec, topology, items, faults, net, sampler, harness)
+
+
+def execute_job(spec: JobSpec) -> dict:
+    """Run one spec to completion and return its metrics dict."""
+    job = prepare_job(spec)
+    return job.metrics(job.run())
 
 
 def result_to_metrics(result) -> dict:

@@ -196,37 +196,11 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobSpec":
-        cfg = dict(data["config"])
-        wormhole = WormholeConfig(**cfg.pop("wormhole"))
-        wave_data = cfg.pop("wave")
-        wave = WaveConfig(**wave_data) if wave_data is not None else None
-        rel_data = cfg.pop("reliability", None)
-        reliability = (
-            ReliabilityConfig(**rel_data) if rel_data is not None else None
-        )
-        config = NetworkConfig(
-            topology=cfg["topology"],
-            dims=tuple(cfg["dims"]),
-            protocol=cfg["protocol"],
-            wormhole=wormhole,
-            wave=wave,
-            seed=cfg.get("seed", 0),
-            reliability=reliability,
-            backend=cfg.get("backend", "active"),
-        )
         return cls(
-            config=config,
+            config=config_from_mapping(data["config"]),
             workload=recipe_from_dict(data["workload"]),
             label=data.get("label", ""),
-            max_cycles=data.get("max_cycles", 200_000),
-            warmup=data.get("warmup", 0),
-            fault_fraction=data.get("fault_fraction", 0.0),
-            deadlock_check_interval=data.get("deadlock_check_interval", 0),
-            progress_timeout=data.get("progress_timeout", 0),
-            mtbf=data.get("mtbf", 0),
-            mttr=data.get("mttr", 0),
-            metrics_every=data.get("metrics_every", 0),
-            invariants_every=data.get("invariants_every", 0),
+            **{name: data[name] for name in RUN_FIELDS if name in data},
         )
 
     # -- content key ----------------------------------------------------
@@ -247,3 +221,52 @@ class JobSpec:
         data["config"].pop("backend", None)
         canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
         return hashlib.blake2b(canonical.encode(), digest_size=16).hexdigest()
+
+
+# The run controls: every JobSpec field that is neither the machine, the
+# traffic nor the cosmetic label.  Stored specs and campaign entries name
+# them identically.
+RUN_FIELDS = tuple(
+    f.name
+    for f in dataclasses.fields(JobSpec)
+    if f.name not in ("config", "workload", "label")
+)
+
+
+def parse_dims(value) -> tuple[int, ...]:
+    """Network dimensions from ``"8x8"`` text or a list of radices."""
+    if isinstance(value, str):
+        try:
+            return tuple(int(part) for part in value.lower().split("x"))
+        except ValueError:
+            raise ConfigError(f"cannot parse dims {value!r}; expected e.g. 8x8")
+    return tuple(int(v) for v in value)
+
+
+def config_from_mapping(data) -> NetworkConfig:
+    """The one decoder from loose data to a :class:`NetworkConfig`.
+
+    Reads the keys named after the config's fields from ``data`` -- a
+    stored spec's ``config`` object, a campaign entry, the CLI flags as
+    an entry -- and ignores the rest.  ``dims`` may be ``"8x8"`` or a
+    list; ``wormhole`` / ``wave`` / ``reliability`` are keyword dicts
+    for their config classes.  Without a ``wave`` a wave-plane protocol
+    gets the default :class:`WaveConfig` and ``wormhole`` gets none.
+    """
+    protocol = data.get("protocol", "clrp")
+    wave = data.get("wave")
+    if wave is None and protocol != "wormhole":
+        wave = {}
+    reliability = data.get("reliability")
+    if reliability is not None:
+        reliability = ReliabilityConfig(**reliability)
+    return NetworkConfig(
+        topology=data.get("topology", "mesh"),
+        dims=parse_dims(data.get("dims", (8, 8))),
+        protocol=protocol,
+        wormhole=WormholeConfig(**data.get("wormhole", {})),
+        wave=WaveConfig(**wave) if wave is not None else None,
+        seed=int(data.get("seed", 0)),
+        reliability=reliability,
+        backend=data.get("backend", "active"),
+    )

@@ -1,12 +1,20 @@
 """Campaign files and the ``python -m repro batch`` command."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.errors import ConfigError
-from repro.orchestrate import expand_entries, load_campaign, spec_from_entry
+from repro.orchestrate import (
+    JobSpec,
+    expand_entries,
+    load_campaign,
+    parse_campaign,
+    spec_from_entry,
+)
 
 
 def write_campaign(path, data):
@@ -84,6 +92,51 @@ class TestSpecFromEntry:
         assert a.config.dims == b.config.dims == (4, 4)
 
 
+class TestOneDecoder:
+    """Entries and stored specs decode their machine through one function."""
+
+    DOC = {
+        "defaults": {
+            "dims": "4x4", "protocol": "clrp", "reliability": {},
+            "backend": "vectorized",
+            "workload": {"kind": "uniform", "load": 0.1, "length": 8,
+                         "duration": 100},
+        },
+        "jobs": [{}],
+    }
+
+    def test_reliability_and_backend_are_honoured(self):
+        """Both were silently dropped: the entry ran unreliable on the
+        default backend while the same fields in a stored spec took."""
+        _, [spec] = parse_campaign(self.DOC)
+        assert spec.config.reliability is not None
+        assert spec.config.backend == "vectorized"
+        assert JobSpec.from_dict(spec.to_dict()) == spec
+
+    def test_unknown_entry_key_is_rejected_by_name(self):
+        doc = {**self.DOC, "jobs": [{"max_cycle": 10}]}
+        with pytest.raises(ConfigError, match=r"max_cycle.*max_cycles"):
+            parse_campaign(doc)
+
+    def test_service_fields_are_allowed_in_entries(self):
+        doc = {**self.DOC, "jobs": [{"tenant": "alice", "priority": 3}]}
+        _, [dressed] = parse_campaign(doc)
+        _, [plain] = parse_campaign(self.DOC)
+        assert dressed.key() == plain.key()
+
+    @pytest.mark.parametrize("name, jobs, digest", [
+        ("clrp_load_sweep", 10, "85d9588c40f5219e"),
+        ("service_demo", 12, "a0089a02b124be13"),
+    ])
+    def test_shipped_campaigns_keep_their_keys(self, name, jobs, digest):
+        """Digests of the content keys the pre-merge decoder produced."""
+        campaigns = Path(__file__).resolve().parents[2] / "examples/campaigns"
+        _, specs = load_campaign(campaigns / f"{name}.json")
+        assert len(specs) == jobs
+        keys = "".join(spec.key() for spec in specs)
+        assert hashlib.sha256(keys.encode()).hexdigest()[:16] == digest
+
+
 class TestLoadCampaign:
     def test_load_names_and_counts(self, tmp_path):
         path = write_campaign(tmp_path / "c.json", TINY)
@@ -132,6 +185,13 @@ class TestBatchCommand:
         assert code == 1
         assert "failure: doomed" in out
         assert "4/5 jobs ok" in out
+
+    def test_batch_rejects_misspelt_entry_key(self, tmp_path, capsys):
+        data = dict(TINY, defaults={**TINY["defaults"], "max_cycle": 10})
+        path = write_campaign(tmp_path / "typo.json", data)
+        assert main(["batch", path]) == 2
+        assert "max_cycle" in capsys.readouterr().err
+        assert not (tmp_path / "typo.results.jsonl").exists()
 
     def test_batch_custom_store_path(self, tmp_path, capsys):
         path = write_campaign(tmp_path / "tiny.json", TINY)

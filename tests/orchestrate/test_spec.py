@@ -146,9 +146,10 @@ class TestServiceEnvelopeKeyStability:
         assert spec_fields.isdisjoint({"tenant", "priority", "submitted_at"})
 
     def test_campaign_service_fields_are_not_spec_fields(self):
-        from repro.orchestrate.campaign import _SPEC_FIELDS, SERVICE_FIELDS
+        from repro.orchestrate.campaign import SERVICE_FIELDS
+        from repro.orchestrate.spec import RUN_FIELDS
 
-        assert set(SERVICE_FIELDS).isdisjoint(_SPEC_FIELDS)
+        assert set(SERVICE_FIELDS).isdisjoint(RUN_FIELDS)
 
     def test_document_service_fields_do_not_change_keys(self):
         """The same campaign document with and without service fields
@@ -330,3 +331,35 @@ class TestMetricsEveryField:
         sampled = execute_job(clrp_spec(metrics_every=50))
         sampled.pop("observe")
         assert sampled == plain
+
+
+class TestPrepareThenRun:
+    """execute_job is prepare_job + PreparedJob.run, nothing else."""
+
+    def test_the_split_is_the_whole(self):
+        from repro.orchestrate import execute_job, prepare_job
+
+        spec = clrp_spec(
+            mtbf=300, mttr=100, fault_fraction=0.05, max_cycles=40_000,
+            deadlock_check_interval=64, metrics_every=50,
+            invariants_every=16,
+        )
+        job = prepare_job(spec)
+        assert job.faults is not None and job.network.faults is job.faults
+        assert job.sampler is not None and job.harness is not None
+        metrics = job.metrics(job.run())
+        assert metrics == execute_job(spec)
+        assert metrics["counters"]["fault.links_killed"] > 0
+        assert metrics["invariants"]["checks"] > 0
+        assert metrics["observe"]["samples"] > 0
+
+    def test_explicit_schedule_refuses_a_spec_with_mtbf(self):
+        from repro.orchestrate import prepare_job
+        from repro.topology import FaultSchedule
+
+        schedule = FaultSchedule(build_topology("mesh", (4, 4)))
+        schedule.schedule_kill(40, 5, 0)
+        with pytest.raises(ConfigError, match="mutually exclusive"):
+            prepare_job(clrp_spec(mtbf=300), faults=schedule)
+        job = prepare_job(clrp_spec(fault_fraction=0.05), faults=schedule)
+        assert job.faults is schedule

@@ -170,6 +170,18 @@ class TestErrors:
             Session(service).submit_campaign({"name": "empty"})
         assert err.value.status == 400
 
+    def test_misspelt_entry_key_is_400(self, service):
+        document = {
+            "defaults": {"dims": "4x4", "max_cycle": 10,
+                         "workload": {"kind": "uniform", "load": 0.05,
+                                      "length": 8, "duration": 150}},
+            "jobs": [{}],
+        }
+        with pytest.raises(ServiceError) as err:
+            Session(service).submit_campaign(document)
+        assert err.value.status == 400
+        assert "max_cycle" in str(err.value)
+
     def test_wrong_method_is_405(self, service):
         with pytest.raises(ServiceError) as err:
             HttpTransport(service).request("DELETE", "/api/campaigns")

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.experiments import run_experiment
-from repro.cli import build_config, build_items, main, make_parser, parse_dims
+from repro.cli import entry_from_args, main, make_parser
 from repro.errors import ConfigError
+from repro.orchestrate import parse_dims, prepare_job, spec_from_entry
 from repro.observe import read_metrics_jsonl, validate_chrome_trace
 
 
@@ -16,6 +16,9 @@ class TestParseDims:
         assert parse_dims("8x8") == (8, 8)
         assert parse_dims("2x2x2") == (2, 2, 2)
         assert parse_dims("4X4") == (4, 4)
+
+    def test_list(self):
+        assert parse_dims([4, 4]) == (4, 4)
 
     def test_bad(self):
         with pytest.raises(ConfigError):
@@ -112,12 +115,9 @@ class TestSweep:
             "--loads", "0.3", "--length", "32", "--duration", "300",
         ]
         args = make_parser().parse_args(argv)
-        config = build_config(args)
-        items = build_items(config, args, 0.3)
-        expected = run_experiment(
-            config, items, max_cycles=args.max_cycles,
-            warmup=args.duration // 5,
-        )
+        spec = spec_from_entry(entry_from_args(args, load=0.3))
+        assert spec.warmup == args.duration // 5
+        expected = prepare_job(spec).run()
         # Sanity: the run must actually drain past the injection window,
         # otherwise this test wouldn't exercise the fix.
         last_delivery = max(
@@ -127,6 +127,21 @@ class TestSweep:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert f"load 0.3: throughput {expected.throughput:.3f}" in out
+
+
+    def test_min_accepted_throughput_is_per_endpoint(self, capsys):
+        """Offered load is per terminal; accepted used to be divided by
+        terminals + switches (20 nodes on a 2-ary 3-fly, 8 endpoints)
+        and read 0.044 for a drained 0.1 run."""
+        argv = [
+            "sweep", "--topology", "min", "--dims", "2x2x2", "--protocol",
+            "wormhole", "--loads", "0.1", "--duration", "500", "--length", "8",
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "56/56" in out
+        accepted = float(out.split("load 0.1: throughput ")[1].split()[0])
+        assert abs(accepted - 0.1) <= 0.02
 
 
 class TestCompare:
