@@ -9,6 +9,8 @@ This package implements everything below the CLRP/CARP protocols:
   History Store, Ack Returned).
 * :mod:`repro.circuits.probe` -- the routing probe (Fig. 4) and the MB-m
   misrouting-backtracking search that reserves circuits.
+* :mod:`repro.circuits.tables` -- the topology's wiring as validated
+  lookup tables, built once per plane, that the probe walk indexes.
 * :mod:`repro.circuits.control` -- acknowledgment, teardown and
   release-request control flits travelling on the control channels.
 * :mod:`repro.circuits.wave` -- wave-pipelined data transfers over

@@ -83,11 +83,14 @@ class Circuit:
 
 
 class CircuitTable:
-    """Registry of all circuits ever created in a run.
+    """Registry of every circuit that ever held a channel in a run.
 
     Provides id allocation, lookup, and the liveness invariants the test
-    suite leans on.  Dead circuits are kept (they are few and make
-    post-mortem analysis possible); use :meth:`live_circuits` for scans.
+    suite leans on.  Released circuits are kept as DEAD records (a late
+    release request must still find its target, and they make
+    post-mortem analysis possible); use :meth:`live_circuits` for
+    scans.  Failed set-up attempts are dropped (:meth:`forget`): past
+    saturation they outnumber the circuits that were ever established.
     """
 
     def __init__(self) -> None:
@@ -105,6 +108,20 @@ class CircuitTable:
             return self.circuits[circuit_id]
         except KeyError:
             raise ProtocolError(f"unknown circuit id {circuit_id}") from None
+
+    def forget(self, circuit: Circuit) -> None:
+        """Drop the record of a failed set-up attempt.
+
+        Only for a DEAD circuit with an empty path that never had Ack
+        Returned set anywhere: it was never a victim, so no control flit
+        and no cache entry can name its id again.
+        """
+        if circuit.state is not CircuitState.DEAD or circuit.path:
+            raise ProtocolError(
+                f"forgetting circuit {circuit.circuit_id} in state "
+                f"{circuit.state.value} with {len(circuit.path)} hops held"
+            )
+        del self.circuits[circuit.circuit_id]
 
     def live_circuits(self) -> list[Circuit]:
         return [

@@ -3,8 +3,10 @@
 One :class:`PCSControlUnit` per node.  For every output control channel
 ``(port, switch)`` it tracks:
 
-* **Channel Status** -- free / reserved / faulty (extended to faults
-  exactly as the paper suggests);
+* **Channel Status** -- free / reserved.  The paper extends the register
+  with a third value, *faulty*; here link faults live in one place, the
+  :class:`~repro.topology.faults.FaultSet` the plane consults, so a
+  channel on a dead link keeps its register and is skipped by the walk;
 * **Ack Returned** -- whether the path-setup acknowledgment has passed
   through this channel (a circuit may only be force-released after this);
 * **Direct / Reverse Channel Mappings** -- for circuits crossing this
@@ -25,10 +27,9 @@ from repro.errors import ProtocolError
 class ChannelStatus(Enum):
     FREE = "free"
     RESERVED = "reserved"
-    FAULTY = "faulty"
 
 
-class _ChannelRegisters:
+class ChannelRegisters:
     """Registers for one output control/data channel pair."""
 
     __slots__ = ("status", "circuit_id", "ack_returned")
@@ -52,9 +53,12 @@ class PCSControlUnit:
         self.num_ports = num_ports
         self.num_switches = num_switches
         # Flat registers, indexed port * num_switches + switch (port-major,
-        # switch-minor, like the old dict's insertion order).
-        self._regs: list[_ChannelRegisters] = [
-            _ChannelRegisters() for _ in range(num_ports * num_switches)
+        # switch-minor, like the old dict's insertion order).  The probe
+        # walk reads this list directly, with ports out of the plane's
+        # validated PortTables; everyone else goes through the
+        # range-checked accessors below.
+        self.regs: list[ChannelRegisters] = [
+            ChannelRegisters() for _ in range(num_ports * num_switches)
         ]
         # Direct mapping: input (port, switch) -> output (port, switch) of
         # the circuit crossing this node; reverse mapping is the inverse.
@@ -65,9 +69,9 @@ class PCSControlUnit:
 
     # -- channel status ----------------------------------------------------
 
-    def _reg(self, port: int, switch: int) -> _ChannelRegisters:
+    def _reg(self, port: int, switch: int) -> ChannelRegisters:
         if 0 <= port < self.num_ports and 0 <= switch < self.num_switches:
-            return self._regs[port * self.num_switches + switch]
+            return self.regs[port * self.num_switches + switch]
         raise ProtocolError(
             f"node {self.node} has no channel (port={port}, switch={switch})"
         )
@@ -80,15 +84,6 @@ class PCSControlUnit:
 
     def ack_returned(self, port: int, switch: int) -> bool:
         return self._reg(port, switch).ack_returned
-
-    def mark_faulty(self, port: int, switch: int) -> None:
-        reg = self._reg(port, switch)
-        if reg.status is ChannelStatus.RESERVED:
-            raise ProtocolError(
-                f"cannot mark reserved channel ({port},{switch}) faulty "
-                f"at node {self.node}"
-            )
-        reg.status = ChannelStatus.FAULTY
 
     def reserve(self, port: int, switch: int, circuit_id: int) -> None:
         reg = self._reg(port, switch)
@@ -162,8 +157,12 @@ class PCSControlUnit:
         return got
 
     def searched(self, probe_id: int, port: int) -> bool:
-        hist = self._history.get(probe_id)
-        return hist is not None and port in hist
+        return port in self.searched_ports(probe_id)
+
+    def searched_ports(self, probe_id: int) -> set[int] | tuple[()]:
+        """Ports ``probe_id`` already searched from here (read-only view;
+        unlike :meth:`history` this never allocates an entry)."""
+        return self._history.get(probe_id, ())
 
     def record_search(self, probe_id: int, port: int) -> None:
         self.history(probe_id).add(port)
@@ -179,13 +178,13 @@ class PCSControlUnit:
         return [
             p
             for p in range(self.num_ports)
-            if self._regs[p * k + switch].status is ChannelStatus.FREE
+            if self.regs[p * k + switch].status is ChannelStatus.FREE
         ]
 
     def reserved_channels(self) -> list[tuple[int, int]]:
         k = self.num_switches
         return [
             divmod(i, k)
-            for i, reg in enumerate(self._regs)
+            for i, reg in enumerate(self.regs)
             if reg.status is ChannelStatus.RESERVED
         ]

@@ -20,6 +20,7 @@ from repro.circuits.circuit import Circuit, CircuitState, CircuitTable
 from repro.circuits.control import ControlFlit, ControlFlitKind
 from repro.circuits.pcs_unit import ChannelStatus, PCSControlUnit
 from repro.circuits.probe import Probe, ProbeStatus
+from repro.circuits.tables import PortTables
 from repro.circuits.wave import WaveTransfer
 from repro.errors import ProtocolError
 from repro.sim.config import WaveConfig
@@ -68,6 +69,8 @@ class WavePlane:
         self.config = config
         self.stats = stats
         self.faults = faults
+        # Wiring answers the probe walk needs on every hop, asked once.
+        self.ports = PortTables(topology)
         self.units: list[PCSControlUnit] = [
             PCSControlUnit(n, topology.num_ports, config.num_switches)
             for n in range(topology.num_nodes)
@@ -95,9 +98,9 @@ class WavePlane:
         self.work_done = 0  # incremented by every state-changing event
         # Optional protocol event trace (repro.sim.events).
         self.log: EventLog | None = None
-        # Persistent flits-streamed tally per channel.  Circuits can be
-        # torn down (CLRP replacement, fault recovery) and eventually
-        # pruned from the table; utilization must not lose their traffic.
+        # Persistent flits-streamed tally per channel, so utilization
+        # does not depend on walking the table's released circuits
+        # (CLRP replacement and fault recovery tear down many).
         self.streamed_by_channel: dict[ChannelKey, int] = {}
 
     # -- registration -----------------------------------------------------
@@ -110,59 +113,6 @@ class WavePlane:
         if engine is None:
             raise ProtocolError(f"no protocol engine registered for node {node}")
         return engine
-
-    # -- queries used by probes --------------------------------------------
-
-    def channel_faulty(self, node: int, port: int, switch: int) -> bool:
-        if self.units[node].status(port, switch) is ChannelStatus.FAULTY:
-            return True
-        return self.faults is not None and self.faults.is_faulty(node, port)
-
-    def first_free(
-        self, node: int, switch: int, ports: list[int], probe: Probe | None = None
-    ) -> int | None:
-        """First FREE candidate channel, honouring claims.
-
-        A channel claimed for some waiting probe is invisible to everyone
-        else, so a victim teardown cannot be raced by a newcomer.
-        """
-        unit = self.units[node]
-        pid = probe.probe_id if probe is not None else None
-        for port in ports:
-            if unit.status(port, switch) is not ChannelStatus.FREE:
-                continue
-            claimant = self.claims.get((node, port, switch))
-            if claimant is not None and claimant != pid:
-                continue
-            return port
-        return None
-
-    def victim_candidates(
-        self, node: int, switch: int, ports: list[int], probe: Probe
-    ) -> list[tuple[int, int]]:
-        """Requested channels owned by *established* circuits.
-
-        "Established" is judged exactly as the paper says: by the Ack
-        Returned bit of the local PCS control unit, not by any global view.
-        Channels claimed by *another* waiting probe are skipped; the
-        requester's own claims stay visible so a waiting probe keeps
-        waiting (its release is already in flight) instead of backtracking.
-        """
-        unit = self.units[node]
-        out = []
-        for port in ports:
-            if unit.status(port, switch) is not ChannelStatus.RESERVED:
-                continue
-            if not unit.ack_returned(port, switch):
-                continue
-            claimant = self.claims.get((node, port, switch))
-            owner = unit.owner(port, switch)
-            if owner is None:
-                continue
-            if claimant is not None and claimant != probe.probe_id:
-                continue
-            out.append((port, owner))
-        return out
 
     # -- probe lifecycle ----------------------------------------------------
 
@@ -218,11 +168,11 @@ class WavePlane:
         in_key = None
         if circuit.path:
             prev_node, prev_port = circuit.path[-1]
-            in_port = self.topology.reverse_port(prev_node, prev_port)
+            in_port = self.ports.reverse_port[prev_node][prev_port]
             in_key = (in_port, probe.switch)
         unit.map_through(in_key, (port, probe.switch))
         circuit.path.append((node, port))
-        nxt = self.topology.neighbor(node, port)
+        nxt = self.ports.neighbor[node][port]
         assert nxt is not None
         probe.at_node = nxt
         probe.ready_at = cycle + self.config.setup_hop_delay
@@ -288,6 +238,7 @@ class WavePlane:
         self._finish_probe(probe)
         self.stats.bump("probe.failed")
         self._engine(probe.src).probe_failed(probe, circuit, cycle)
+        self.table.forget(circuit)
         self.work_done += 1
 
     def _finish_probe(self, probe: Probe) -> None:
@@ -544,6 +495,7 @@ class WavePlane:
         ghost.status = ProbeStatus.FAILED
         self.stats.bump("probe.failed")
         self._engine(circuit.src).probe_failed(ghost, circuit, cycle)
+        self.table.forget(circuit)
         self.work_done += 1
 
     # -- transfers ------------------------------------------------------------
@@ -607,12 +559,12 @@ class WavePlane:
     def _step_probes(self, cycle: int) -> None:
         if not self.probes:
             return
-        # Snapshot: a probe finishing mutates self.probes; a finished
-        # probe's status flips, so no membership re-scan is needed.
-        for probe in tuple(self.probes):
-            if probe.ready_at <= cycle and probe.status in (
-                ProbeStatus.SEARCHING, ProbeStatus.WAITING
-            ):
+        # The due probes, in launch order.  Nothing a step does makes
+        # another probe due this cycle (a wake or a launch is for
+        # cycle + 1), but it can finish one: re-check the status.
+        for probe in [p for p in self.probes if p.ready_at <= cycle]:
+            status = probe.status
+            if status is ProbeStatus.SEARCHING or status is ProbeStatus.WAITING:
                 probe.step(self, cycle)
 
     def _step_control_flits(self, cycle: int) -> None:
@@ -620,9 +572,9 @@ class WavePlane:
             return
         hop_delay = self.config.setup_hop_delay
         finished: list[ControlFlit] = []
-        for flit in list(self.control_flits):
-            if flit.ready_at > cycle:
-                continue
+        # Flits launched by a callback below are due next cycle at the
+        # earliest, so the due set is fixed here.
+        for flit in [f for f in self.control_flits if f.ready_at <= cycle]:
             circuit = self.table.get(flit.circuit_id)
             if flit.kind is ControlFlitKind.ACK:
                 node, port = circuit.path[flit.hop_index]

@@ -16,8 +16,11 @@ walk:
   belongs to a circuit *being established* (waiting there would create the
   cyclic channel dependencies Theorem 1 rules out).
 
-The walk logic lives here as pure decision methods; the
-:class:`~repro.circuits.plane.WavePlane` supplies channel state and moves
+The walk logic lives here: :meth:`Probe.step` reads the node's channel
+registers, the History Store, the plane's claims and its
+:class:`~repro.circuits.tables.PortTables` in one pass and decides; the
+:class:`~repro.circuits.plane.WavePlane` carries the decision out
+(reserve and advance, release and retreat, victim release) and moves
 probes in simulated time.
 """
 
@@ -27,6 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
+from repro.circuits.pcs_unit import ChannelStatus
 from repro.errors import ProtocolError
 from repro.sim.events import EventKind
 
@@ -86,16 +90,19 @@ class Probe:
         Called by the plane when ``ready_at <= cycle``.  Mutates probe and
         channel state through ``plane``.
         """
-        if self.status in (ProbeStatus.SUCCEEDED, ProbeStatus.FAILED):
+        status = self.status
+        if status is ProbeStatus.SUCCEEDED or status is ProbeStatus.FAILED:
             raise ProtocolError(f"stepping finished probe {self.probe_id}")
 
-        if self.at_node == self.dst:
+        node = self.at_node
+        if node == self.dst:
             plane.probe_reached_destination(self, cycle)
             return
 
-        unit = plane.units[self.at_node]
-        topo = plane.topology
-        minimal = set(topo.minimal_ports(self.at_node, self.dst))
+        tables = plane.ports
+        profitable, others = tables.walk[node, self.dst]
+        if self.misroutes >= self.max_misroutes:
+            others = ()
 
         # The port leading straight back over the hop we arrived on: a
         # misroute there is a pure U-turn -- if the search below this node
@@ -104,44 +111,51 @@ class Probe:
         # burn budget and lengthen circuits.
         back_port = None
         path = plane.table.get(self.circuit_id).path
-        if path:
+        if others and path:
             prev_node, prev_port = path[-1]
             # None on unidirectional links (no back-link to U-turn onto).
-            back_port = topo.return_port(prev_node, prev_port)
+            back_port = tables.return_port[prev_node][prev_port]
 
-        # Candidate output links in preference order: profitable first,
-        # then misroutes if budget remains.  History-searched and faulty
-        # links are never candidates.
-        profitable: list[int] = []
-        misroute: list[int] = []
-        for port in topo.connected_ports(self.at_node):
-            if unit.searched(self.probe_id, port):
-                continue
-            if plane.channel_faulty(self.at_node, port, self.switch):
-                continue
-            if port in minimal:
-                profitable.append(port)
-            elif self.misroutes < self.max_misroutes and port != back_port:
-                misroute.append(port)
-
-        free_choice = plane.first_free(self.at_node, self.switch, profitable, self)
-        took_misroute = False
-        if free_choice is None:
-            free_choice = plane.first_free(self.at_node, self.switch, misroute, self)
-            took_misroute = free_choice is not None
-
-        if free_choice is not None:
-            if took_misroute:
-                self.misroutes += 1
-                plane.stats.bump("probe.misroutes")
-            self.backtracking = False
-            plane.advance_probe(self, free_choice, cycle)
-            return
+        # One pass over the candidate output links in preference order:
+        # profitable first, then misroutes if budget remains.  Links in
+        # the History Store, on a dead link, or claimed for another
+        # waiting probe (a victim teardown must not be raced by a
+        # newcomer) are never candidates; the first FREE one is taken.
+        # The probe's own claims stay visible, so a waiting probe keeps
+        # waiting instead of backtracking.
+        unit = plane.units[node]
+        regs = unit.regs
+        searched = unit.searched_ports(self.probe_id)
+        faults = plane.faults
+        claims = plane.claims
+        switch = self.switch
+        stride = unit.num_switches
+        # Requested channels owned by *established* circuits, judged as
+        # the paper says: by the Ack Returned bit of the local unit (set
+        # only on a RESERVED channel; reserve and release clear it).
+        victims: list[tuple[int, int]] = []
+        for misrouting, ports in enumerate((profitable, others)):
+            for port in ports:
+                if port in searched or (misrouting and port == back_port):
+                    continue
+                if faults is not None and faults.is_faulty(node, port):
+                    continue
+                if claims:
+                    claimant = claims.get((node, port, switch))
+                    if claimant is not None and claimant != self.probe_id:
+                        continue
+                reg = regs[port * stride + switch]
+                if reg.status is ChannelStatus.FREE:
+                    if misrouting:
+                        self.misroutes += 1
+                        plane.stats.bump("probe.misroutes")
+                    self.backtracking = False
+                    plane.advance_probe(self, port, cycle)
+                    return
+                if self.force and reg.ack_returned:
+                    victims.append((port, reg.circuit_id))
 
         if self.force:
-            victims = plane.victim_candidates(
-                self.at_node, self.switch, profitable + misroute, self
-            )
             if victims:
                 self._wait_on_victims(plane, victims, cycle)
                 return

@@ -42,6 +42,24 @@ class TestCircuitTable:
         with pytest.raises(ProtocolError):
             CircuitTable().get(99)
 
+    def test_forget_drops_only_a_failed_attempt(self):
+        t = CircuitTable()
+        failed = t.create(0, 1, 0)
+        live = t.create(0, 2, 0)
+        unwinding = t.create(0, 3, 0)
+        failed.state = CircuitState.DEAD
+        unwinding.state = CircuitState.DEAD
+        unwinding.path = [(0, 0)]
+        t.forget(failed)
+        with pytest.raises(ProtocolError):
+            t.get(failed.circuit_id)
+        for kept in (live, unwinding):
+            with pytest.raises(ProtocolError):
+                t.forget(kept)
+            assert t.get(kept.circuit_id) is kept
+        # Ids are never reused, forgotten or not.
+        assert t.create(0, 4, 0).circuit_id == unwinding.circuit_id + 1
+
     def test_live_and_established_filters(self):
         t = CircuitTable()
         a = t.create(0, 1, 0)

@@ -65,17 +65,6 @@ class TestChannelStatus:
         with pytest.raises(ProtocolError):
             u.status(0, 5)
 
-    def test_mark_faulty(self):
-        u = unit()
-        u.mark_faulty(2, 1)
-        assert u.status(2, 1) is ChannelStatus.FAULTY
-
-    def test_cannot_fault_reserved_channel(self):
-        u = unit()
-        u.reserve(2, 1, 7)
-        with pytest.raises(ProtocolError):
-            u.mark_faulty(2, 1)
-
 
 class TestMappings:
     def test_direct_and_reverse_are_inverse(self):
@@ -123,8 +112,7 @@ class TestQueries:
     def test_free_channels(self):
         u = unit()
         u.reserve(0, 0, 1)
-        u.mark_faulty(1, 0)
-        assert u.free_channels(0) == [2, 3]
+        assert u.free_channels(0) == [1, 2, 3]
         assert u.free_channels(1) == [0, 1, 2, 3]
 
     def test_reserved_channels(self):

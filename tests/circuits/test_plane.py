@@ -321,6 +321,51 @@ class TestTransfers:
         assert not plane._transfer_events
 
 
+class TestCircuitTablePruning:
+    """Failed attempts leave the table; released circuits stay as DEAD."""
+
+    def test_released_circuit_keeps_its_record(self):
+        topo, plane, engines, stats = build_plane()
+        circuit = establish(plane, 0, topo.node_at((2, 2)))
+        plane.start_teardown(circuit, 100)
+        run_until_idle(plane, 101)
+        # A late RELEASE_REQ must still find state DEAD.
+        assert plane.table.get(circuit.circuit_id).state is CircuitState.DEAD
+
+    def test_failed_attempt_is_dropped_after_the_engine_heard(self):
+        topo, plane, engines, stats = build_plane(
+            dims=(2,), misroute_budget=0, num_switches=1
+        )
+        held = establish(plane, 0, 1)
+        seen = []
+        engines[0].probe_failed = lambda probe, circuit, cycle: seen.append(
+            circuit.circuit_id in plane.table.circuits
+        )
+        failed, probe = plane.launch_probe(0, 1, 0, force=False, cycle=50)
+        run_until_idle(plane, 51)
+        assert seen == [True]  # still there while the engine is told
+        assert list(plane.table.circuits) == [held.circuit_id]
+        assert failed.state is CircuitState.DEAD and failed.path == []
+
+    def test_attempt_aborted_with_its_ack_in_flight_is_dropped(self):
+        topo, plane, engines, stats = build_plane(dims=(4,), num_switches=1)
+        circuit, probe = plane.launch_probe(0, 3, 0, force=False, cycle=0)
+        cycle = 1
+        while plane.probes:  # until the probe has succeeded
+            plane.step(cycle)
+            cycle += 1
+        assert circuit.state is CircuitState.SETTING_UP and plane.control_flits
+        node, port = circuit.path[1]
+        plane.on_link_killed(node, port, cycle)
+        assert stats.count("probe.fault_aborts") == 1
+        (ghost, reported, _), = engines[0].failed
+        assert reported is circuit and ghost.probe_id == -1
+        assert circuit.circuit_id not in plane.table.circuits
+        assert plane.is_idle()
+        for unit in plane.units:
+            assert unit.reserved_channels() == []
+
+
 class TestIdleness:
     def test_fresh_plane_idle(self):
         topo, plane, engines, stats = build_plane()

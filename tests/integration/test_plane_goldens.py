@@ -49,6 +49,7 @@ MAX_CYCLES = 200_000
 @dataclasses.dataclass(frozen=True)
 class Scenario:
     protocol: str = "clrp"
+    topology: str = "mesh"
     dims: tuple = (4, 4)
     window: int = 256
     channel_width_factor: float = 1.0
@@ -101,6 +102,7 @@ SCENARIOS = {
 
 def make_config(s: Scenario, backend: str) -> NetworkConfig:
     return NetworkConfig(
+        topology=s.topology,
         dims=s.dims,
         protocol=s.protocol,
         wormhole=WormholeConfig(routing="dor"),
@@ -128,8 +130,8 @@ def make_traffic(s: Scenario, topology) -> list:
         )
     else:
         msgs = uniform_workload(
-            MessageFactory(), UniformPattern(topology.num_nodes),
-            num_nodes=topology.num_nodes, offered_load=s.load,
+            MessageFactory(), UniformPattern(topology.num_endpoints),
+            num_nodes=topology.num_endpoints, offered_load=s.load,
             length=s.length, duration=s.duration, rng=rng,
         )
     if s.protocol == "carp":
@@ -146,7 +148,7 @@ def run_scenario(s: Scenario, backend: str) -> dict:
     faults = None
     if s.fault_mtbf:
         faults = FaultSchedule.random_campaign(
-            build_topology("mesh", s.dims),
+            build_topology(s.topology, s.dims),
             mtbf=s.fault_mtbf, mttr=400, horizon=s.duration,
             rng=derive_fault_rng(config.seed),
         )
@@ -179,8 +181,30 @@ def run_scenario(s: Scenario, backend: str) -> dict:
     }
 
 
-def load_goldens() -> dict:
-    return json.loads(GOLDENS.read_text())["scenarios"]
+def load_goldens(path: Path = GOLDENS) -> dict:
+    return json.loads(path.read_text())["scenarios"]
+
+
+def write_goldens(path: Path, scenarios: dict) -> None:
+    """Run every scenario on all three backends and record the result."""
+    import subprocess
+
+    commit = subprocess.run(
+        ["git", "rev-parse", "--short", "HEAD"],
+        capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    goldens = {}
+    for name, scenario in sorted(scenarios.items()):
+        golden = run_scenario(scenario, "reference")
+        for backend in BACKENDS[1:]:
+            assert run_scenario(scenario, backend) == golden, (name, backend)
+        goldens[name] = golden
+        print(name, golden["cycles"], golden["work_counter"],
+              golden["counters"].get("wave.transfers_completed"))
+    path.write_text(
+        json.dumps({"generated_at_commit": commit, "scenarios": goldens},
+                   indent=1, sort_keys=True) + "\n"
+    )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -208,21 +232,4 @@ def test_goldens_cover_both_schedule_kinds_and_faults():
 
 
 if __name__ == "__main__":
-    import subprocess
-
-    commit = subprocess.run(
-        ["git", "rev-parse", "--short", "HEAD"],
-        capture_output=True, text=True, check=True,
-    ).stdout.strip()
-    scenarios = {}
-    for name, scenario in sorted(SCENARIOS.items()):
-        golden = run_scenario(scenario, "reference")
-        for backend in BACKENDS[1:]:
-            assert run_scenario(scenario, backend) == golden, (name, backend)
-        scenarios[name] = golden
-        print(name, golden["cycles"], golden["work_counter"],
-              golden["counters"].get("wave.transfers_completed"))
-    GOLDENS.write_text(
-        json.dumps({"generated_at_commit": commit, "scenarios": scenarios},
-                   indent=1, sort_keys=True) + "\n"
-    )
+    write_goldens(GOLDENS, SCENARIOS)
