@@ -172,26 +172,37 @@ class JobSpec:
     # -- serialisation --------------------------------------------------
 
     def to_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        data["config"]["dims"] = list(self.config.dims)
-        data["workload"] = self.workload.as_dict()
+        """A fresh JSON-ready dict; field order is the dataclasses' own.
+
+        Reads the field names taken once at import and copies no value:
+        every one is frozen, so the dataclasses' own recursive,
+        deep-copying converter would only re-serialise what cannot change.
+        """
+        config = self.config
+        machine = _flat(config, _CONFIG_FIELDS)
+        machine["dims"] = list(config.dims)
+        machine["wormhole"] = _flat(config.wormhole, _WORMHOLE_FIELDS)
+        if config.wave is not None:
+            machine["wave"] = _flat(config.wave, _WAVE_FIELDS)
         # Omit disabled-by-default fields entirely: pre-existing stored
         # results keep their content-hash keys (see key()).
-        if data["config"].get("reliability") is None:
-            del data["config"]["reliability"]
+        if config.reliability is None:
+            del machine["reliability"]
+        else:
+            machine["reliability"] = _flat(
+                config.reliability, _RELIABILITY_FIELDS
+            )
         # The stepping backend never changes results (bit-identity
         # contract), but a non-default choice is still recorded so a
         # campaign file round-trips faithfully.
-        if data["config"].get("backend", "active") == "active":
-            data["config"].pop("backend", None)
-        if not self.mtbf:
-            del data["mtbf"]
-        if not self.mttr:
-            del data["mttr"]
-        if not self.metrics_every:
-            del data["metrics_every"]
-        if not self.invariants_every:
-            del data["invariants_every"]
+        if config.backend == "active":
+            del machine["backend"]
+        data = _flat(self, _SPEC_FIELDS)
+        data["config"] = machine
+        data["workload"] = self.workload.as_dict()
+        for name in _OMITTED_WHEN_ZERO:
+            if not data[name]:
+                del data[name]
         return data
 
     @classmethod
@@ -215,21 +226,49 @@ class JobSpec:
         JSON over the spec dict and BLAKE2b, the same keyed-derivation
         primitive the simulator's RNG uses -- stable across processes and
         Python runs.
+
+        The spec is frozen, so the digest is computed once and kept on
+        the instance -- outside the dataclass fields: ``==``, ``hash``,
+        ``fields()`` and ``to_dict()`` never see it, ``replace()`` builds
+        a spec without it, and a pickled spec carries it to a worker.
         """
+        memo = self.__dict__.get("_key")
+        if memo is None:
+            memo = self._content_hash()
+            object.__setattr__(self, "_key", memo)
+        return memo
+
+    def _content_hash(self) -> str:
         data = self.to_dict()
-        data.pop("label", None)
+        del data["label"]
         data["config"].pop("backend", None)
         canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
         return hashlib.blake2b(canonical.encode(), digest_size=16).hexdigest()
 
 
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _flat(obj, names: tuple[str, ...]) -> dict:
+    return {name: getattr(obj, name) for name in names}
+
+
+# What to_dict() encodes, read once: a field added to any of the five
+# classes joins the encoding (and the content key) without an edit here.
+_SPEC_FIELDS = _field_names(JobSpec)
+_CONFIG_FIELDS = _field_names(NetworkConfig)
+_WORMHOLE_FIELDS = _field_names(WormholeConfig)
+_WAVE_FIELDS = _field_names(WaveConfig)
+_RELIABILITY_FIELDS = _field_names(ReliabilityConfig)
+_OMITTED_WHEN_ZERO = ("mtbf", "mttr", "metrics_every", "invariants_every")
+
 # The run controls: every JobSpec field that is neither the machine, the
 # traffic nor the cosmetic label.  Stored specs and campaign entries name
 # them identically.
 RUN_FIELDS = tuple(
-    f.name
-    for f in dataclasses.fields(JobSpec)
-    if f.name not in ("config", "workload", "label")
+    name for name in _SPEC_FIELDS
+    if name not in ("config", "workload", "label")
 )
 
 

@@ -11,10 +11,18 @@ the moment of the crash and re-queue whatever had not finished.
 Design points, mirroring the store's semantics
 (:mod:`repro.orchestrate.store`):
 
-* **Append-only JSONL, torn-tail tolerant.**  One ``write()`` per op;
-  a line torn by a crash mid-append is skipped on load and the journal
-  stays usable.  The op stream is self-describing (``op`` field), so
-  unknown ops from a newer server version are ignored, not fatal.
+* **Append-only JSONL, torn-tail tolerant.**  One flushed ``write()``
+  per *transition*: a single op (``run``, ``requeue``, ``finish``,
+  ``cancel``, ``drain``) is written as it is appended, and a submission
+  (its ``campaign`` op, its ``job`` ops and the ``finish`` ops of jobs
+  that resolved from cache) is held by :meth:`CampaignJournal.batch` and
+  lands as one write of whole lines before the submission becomes
+  visible.  The append handle stays open between writes.  Flushed means
+  handed to the OS, not fsynced: the journal survives the server's
+  death, not the machine's.  A line torn by a crash mid-write is skipped
+  on load -- every line before it is intact -- and the journal stays
+  usable.  The op stream is self-describing (``op`` field), so unknown
+  ops from a newer server version are ignored, not fatal.
 * **Results never live here.**  A ``finish`` op records *that* a job
   resolved and how (status, attempts, elapsed, failure); the metrics
   payload is re-read from the result store on resume by content key.
@@ -45,6 +53,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.orchestrate.store import BaseResultStore
@@ -64,17 +73,53 @@ class CampaignJournal:
     def __init__(self, path) -> None:
         self.path = Path(path)
         self.appended = 0
+        self._fh = None  # append handle, opened by the first write
+        self._held: list[str] | None = None  # lines of the open batch
 
     def append(self, op: dict) -> None:
-        """Durably append one op (one line, flushed) before returning."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # Like the JSONL store: one small O_APPEND write lands atomically
-        # on POSIX, so concurrent appends interleave whole lines and a
-        # crash can only tear the final line.
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(op) + "\n")
-            fh.flush()
+        """Durably append one op (one line, flushed) before returning.
+
+        Inside :meth:`batch` the line is held instead and lands with the
+        rest of the batch.
+        """
+        line = json.dumps(op) + "\n"
+        if self._held is not None:
+            self._held.append(line)
+        else:
+            self._write(line)
         self.appended += 1
+
+    @contextmanager
+    def batch(self):
+        """Land every op appended in the body as one flushed write.
+
+        The write happens when the body ends, also when it raises: the
+        ops appended up to the exception are exactly what the journal
+        holds, as if each had been written on its own.
+        """
+        self._held = []
+        try:
+            yield
+        finally:
+            held, self._held = self._held, None
+            if held:
+                self._write("".join(held))
+
+    def _write(self, text: str) -> None:
+        if self._fh is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = self.path.open("a", encoding="utf-8")
+        # Like the JSONL store: one O_APPEND write lands at the end of
+        # the file whoever else appends, so concurrent appends interleave
+        # whole writes and a crash can only tear the last one.
+        self._fh.write(text)
+        self._fh.flush()
+
+    def close(self) -> None:
+        """Release the append handle; the next write reopens it."""
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
     def load(self) -> list[dict]:
         """Every intact op in append order; torn/garbage lines skipped."""
@@ -100,8 +145,11 @@ class CampaignJournal:
         """Atomically replace the journal with a compacted op stream.
 
         Temp file + rename, exactly like the store's ``compact``: a
-        crash mid-rewrite leaves the original journal intact.
+        crash mid-rewrite leaves the original journal intact.  The append
+        handle is closed first: kept across the rename it would go on
+        appending to the unlinked old file.
         """
+        self.close()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_suffix(self.path.suffix + ".compact-tmp")
         with tmp.open("w", encoding="utf-8") as fh:

@@ -34,8 +34,10 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import itertools
 import json
 import multiprocessing
+import signal
 import threading
 import time
 import urllib.parse
@@ -62,6 +64,7 @@ API_VERSION = 1
 MAX_BODY_BYTES = 256 << 20  # campaign documents can be large; specs are not
 MAX_HEADER_BYTES = 64 << 10
 TENANT_HEADER = "x-repro-tenant"
+JSONL_EVENTS_PER_WRITE = 256
 
 
 class ServiceConfig:
@@ -107,6 +110,17 @@ class ServiceConfig:
         self.quota = TenantQuota(
             max_inflight=max_inflight_per_tenant, rate=rate, burst=burst
         )
+
+
+def _detach_signal_wakeup() -> None:
+    """Worker start-up: stop signalling the server's event loop.
+
+    A forked worker inherits the loop's signal wake-up descriptor
+    (Python < 3.12 does not reset it on fork), so a SIGTERM sent to a
+    *worker* -- the pool terminating the siblings of a dead worker --
+    was read by ``repro serve`` as its own and started a drain.
+    """
+    signal.set_wakeup_fd(-1)
 
 
 class _HttpError(Exception):
@@ -160,6 +174,7 @@ class JobServer:
             self._executor = concurrent.futures.ProcessPoolExecutor(
                 max_workers=self.config.workers,
                 mp_context=multiprocessing.get_context("fork"),
+                initializer=_detach_signal_wakeup,
             )
         else:
             self._executor = concurrent.futures.ThreadPoolExecutor(
@@ -263,6 +278,7 @@ class JobServer:
             self.state.journal.append(
                 {"op": "drain", "pending": self.state.scheduler.pending()}
             )
+            self.state.journal.close()
         if self._executor is not None:
             # After a clean drain the workers are idle and exit promptly;
             # otherwise don't wait on wedged/zombie workers.
@@ -501,8 +517,7 @@ class JobServer:
             })
         elif sub == "results" and method == "GET":
             async def dump():
-                for job in campaign.jobs:
-                    yield job.as_dict()
+                yield (job.as_dict() for job in campaign.jobs)
             await _send_jsonl(writer, dump())
         elif sub == "stream" and method == "GET":
             try:
@@ -516,15 +531,9 @@ class JobServer:
             raise _HttpError(404, f"no such campaign route: {sub}")
 
     def _submit(self, body: dict, headers: dict) -> CampaignState:
-        """Common submission path for documents and raw spec lists."""
+        """Submission of a campaign document or a raw spec list."""
         if not isinstance(body, dict):
             raise _HttpError(400, "submission body must be a JSON object")
-        tenant = str(
-            body.get("tenant")
-            or headers.get(TENANT_HEADER)
-            or "default"
-        )
-        priority = int(body.get("priority", 0))
         if "document" in body:
             name, specs = parse_campaign(body["document"])
         elif "specs" in body:
@@ -534,6 +543,18 @@ class JobServer:
             raise _HttpError(
                 400, "submission needs 'document' (campaign) or 'specs'"
             )
+        return self._submit_specs(name, specs, body, headers)
+
+    def _submit_specs(
+        self, name: str, specs: list[JobSpec], body: dict, headers: dict
+    ) -> CampaignState:
+        """Common submission path once the specs are built."""
+        tenant = str(
+            body.get("tenant")
+            or headers.get(TENANT_HEADER)
+            or "default"
+        )
+        priority = int(body.get("priority", 0))
         if not specs:
             raise _HttpError(400, "submission contains no jobs")
         campaign = self.state.submit(
@@ -559,15 +580,8 @@ class JobServer:
                 if "spec" not in body:
                     raise _HttpError(400, "job submission needs 'spec'")
                 spec = JobSpec.from_dict(body["spec"])
-                campaign = self._submit(
-                    {
-                        "specs": [body["spec"]],
-                        "name": body.get("name", spec.label or spec.key()),
-                        "tenant": body.get("tenant"),
-                        "priority": body.get("priority", 0),
-                    },
-                    headers,
-                )
+                name = str(body.get("name", spec.label or spec.key()))
+                campaign = self._submit_specs(name, [spec], body, headers)
                 await _send_json(
                     writer, campaign.jobs[0].as_dict(with_spec=False)
                 )
@@ -656,18 +670,26 @@ async def _send_json(writer, obj, status: int = 200) -> None:
     await writer.drain()
 
 
-async def _send_jsonl(writer, events) -> None:
-    """Stream an async iterator of dicts as JSON Lines until it ends.
+async def _send_jsonl(writer, batches) -> None:
+    """Stream an async iterator of batches of dicts as JSON Lines.
 
     No Content-Length: the client reads lines until the connection
     closes, which is what makes live campaign streaming work over
-    plain ``http.client``.
+    plain ``http.client``.  A batch is what its producer had ready at
+    once; it goes out in writes of up to ``JSONL_EVENTS_PER_WRITE``
+    lines, each drained before the next is encoded, so a large dump
+    never sits in memory whole.
     """
     writer.write(_head(200, "application/jsonl"))
     await writer.drain()
-    async for event in events:
-        writer.write((json.dumps(event) + "\n").encode())
-        await writer.drain()
+    async for batch in batches:
+        events = iter(batch)
+        while chunk := b"".join(
+            (json.dumps(event) + "\n").encode()
+            for event in itertools.islice(events, JSONL_EVENTS_PER_WRITE)
+        ):
+            writer.write(chunk)
+            await writer.drain()
 
 
 # -- embedding and CLI entrypoints --------------------------------------
@@ -681,8 +703,6 @@ def run_service(config: ServiceConfig) -> None:
     journal the rest for a later ``--resume``.  A second signal -- or a
     SIGKILL -- is the crash case the journal exists for.
     """
-    import signal
-
     async def main() -> None:
         server = JobServer(config)
         await server.start()

@@ -22,7 +22,9 @@ Durability: every mutation that must survive a crash (submission,
 execution start, requeue after a worker death, terminal transition,
 cancellation) is journaled through an attached
 :class:`~repro.service.journal.CampaignJournal` *before* it becomes
-externally visible; :meth:`ServiceState.restore` replays the journal on
+externally visible -- a submission as one write of all its ops, every
+later transition as a write of its own;
+:meth:`ServiceState.restore` replays the journal on
 ``repro serve --resume`` so queued and in-flight work is re-queued and
 terminal jobs reappear with their events in the original order (which
 is what makes client ``?since=`` stream reconnects exactly-once across
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from contextlib import nullcontext
 
 from repro.observe.export import observe_headline
 from repro.observe.logbook import get_logger
@@ -98,6 +101,11 @@ class ServiceState:
         if self.journal is not None:
             self.journal.append(op)
 
+    def _journal_batch(self):
+        if self.journal is None:
+            return nullcontext()
+        return self.journal.batch()
+
     # -- submission -----------------------------------------------------
 
     def submit(
@@ -111,34 +119,38 @@ class ServiceState:
         """Register a campaign: resolve dedup, queue the remainder."""
         campaign = CampaignState(name=name, tenant=tenant, priority=priority)
         self.campaigns[campaign.campaign_id] = campaign
-        self._journal({
-            "op": OP_CAMPAIGN,
-            "campaign_id": campaign.campaign_id,
-            "name": name,
-            "tenant": tenant,
-            "priority": priority,
-            "created_at": campaign.created_at,
-        })
-        for spec in specs:
-            job = SubmittedJob(
-                spec=spec,
-                tenant=tenant,
-                priority=priority,
-                campaign_id=campaign.campaign_id,
-                campaign=name,
-            )
-            campaign.jobs.append(job)
-            self.jobs[job.job_id] = job
+        # The whole submission -- campaign op, job ops, the finish ops of
+        # cache hits -- is one journal write, landed before anything
+        # below (the pump, a stream, the HTTP response) can see it.
+        with self._journal_batch():
             self._journal({
-                "op": OP_JOB,
-                "job_id": job.job_id,
+                "op": OP_CAMPAIGN,
                 "campaign_id": campaign.campaign_id,
-                "spec": spec.to_dict(),
+                "name": name,
                 "tenant": tenant,
                 "priority": priority,
-                "submitted_at": job.submitted_at,
+                "created_at": campaign.created_at,
             })
-            self._admit(job)
+            for spec in specs:
+                job = SubmittedJob(
+                    spec=spec,
+                    tenant=tenant,
+                    priority=priority,
+                    campaign_id=campaign.campaign_id,
+                    campaign=name,
+                )
+                campaign.jobs.append(job)
+                self.jobs[job.job_id] = job
+                self._journal({
+                    "op": OP_JOB,
+                    "job_id": job.job_id,
+                    "campaign_id": campaign.campaign_id,
+                    "spec": spec.to_dict(),
+                    "tenant": tenant,
+                    "priority": priority,
+                    "submitted_at": job.submitted_at,
+                })
+                self._admit(job)
         self.work_available.set()
         self._notify_streams()
         return campaign
@@ -328,24 +340,30 @@ class ServiceState:
         task.add_done_callback(self._notify_tasks.discard)
 
     async def stream_events(self, campaign: CampaignState, since: int = 0):
-        """Yield the campaign's events: replay from ``since``, then live.
+        """Yield the campaign's events in batches: replay from ``since``,
+        then live.
 
-        ``since`` is the reconnect cursor: a client that saw events
-        ``0..n-1`` before losing its connection asks for ``since=n`` and
-        receives each remaining event exactly once.
+        Each batch is the list of every event available when it is
+        taken (the closing ``end`` event included), so the HTTP layer
+        can send it as one write.  ``since`` is the reconnect cursor: a
+        client that saw events ``0..n-1`` before losing its connection
+        asks for ``since=n`` and receives each remaining event exactly
+        once.
         """
         cursor = max(0, since)
         while True:
-            while cursor < len(campaign.events):
-                yield campaign.events[cursor]
-                cursor += 1
+            batch = campaign.events[cursor:]
+            cursor += len(batch)
             if campaign.done:
-                yield {
+                batch.append({
                     "event": "end",
                     "status": campaign.status,
                     "counts": campaign.counts(),
-                }
+                })
+                yield batch
                 return
+            if batch:
+                yield batch
             async with self.events_cond:
                 # Re-check under the condition: an event appended since
                 # the unlocked check must not strand this stream.

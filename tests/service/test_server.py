@@ -89,6 +89,27 @@ class TestRoutes:
         assert out["status"] in ("queued", "running")
         assert out["key"] == spec.key()
 
+    def test_single_job_submission_decodes_its_spec_once(
+        self, service, monkeypatch
+    ):
+        decoded = []
+        real = JobSpec.from_dict.__func__
+        monkeypatch.setattr(
+            JobSpec, "from_dict",
+            classmethod(lambda cls, d: decoded.append(d) or real(cls, d)),
+        )
+        spec = tiny_spec()
+        out = HttpTransport(service).request(
+            "POST", "/api/jobs",
+            body={"spec": spec.to_dict(), "tenant": "alice", "priority": 3},
+        )
+        assert decoded == [spec.to_dict()]
+        assert (out["key"], out["tenant"], out["priority"]) == (
+            spec.key(), "alice", 3,
+        )
+        # Unnamed, the one-job campaign is called after the spec's label.
+        assert out["campaign"] == spec.label
+
     def test_campaign_document_submission(self, service):
         session = Session(service)
         campaign = session.submit_campaign({
@@ -219,3 +240,40 @@ class TestRestartResume:
             again = session.submit_specs([spec], name="two").wait(timeout=60)
             assert again.counts["cached"] == 1
             assert session.store_stats()["executed"] == 0
+
+
+def _swap_wakeup_fd() -> int:
+    """Runs in a pool worker: the wake-up descriptor it would signal."""
+    import signal
+
+    return signal.set_wakeup_fd(-1)
+
+
+class TestWorkerSignals:
+    def test_pool_workers_do_not_signal_the_servers_loop(self, tmp_path):
+        """`repro serve` sets a signal wake-up descriptor before its
+        workers fork; a worker that kept it would turn the SIGTERM the
+        pool sends to the siblings of a dead worker into a drain of the
+        whole server."""
+        import signal
+        import socket
+
+        from repro.service.server import JobServer
+
+        server = JobServer(ServiceConfig(
+            port=0, store=f"sqlite:{tmp_path / 'store'}", workers=1,
+            executor="process",
+        ))
+        ours, theirs = socket.socketpair()
+        ours.setblocking(False)
+        previous = signal.set_wakeup_fd(ours.fileno())
+        try:
+            server._make_executor()
+            future = server._executor.submit(_swap_wakeup_fd)
+            assert future.result(timeout=30) == -1
+        finally:
+            signal.set_wakeup_fd(previous)
+            server._executor.shutdown(wait=True)
+            server.state.store.close()
+            ours.close()
+            theirs.close()

@@ -195,7 +195,10 @@ class TestEventsAndQueries:
         run_queued(state)
 
         async def collect():
-            return [e async for e in state.stream_events(campaign)]
+            return [
+                e async for batch in state.stream_events(campaign)
+                for e in batch
+            ]
 
         events = asyncio.run(collect())
         assert [e["event"] for e in events] == ["job", "end"]
