@@ -73,6 +73,18 @@ def _lookup(data: dict, path: str):
     return node
 
 
+def _finish(data: dict, end: "JobEvent") -> None:
+    """Bring a campaign's ``data`` up to date from its ``end`` event.
+
+    ``status`` and ``counts`` are all that can change after submission
+    (``id``, ``name``, ``tenant``, ``priority``, ``created_at`` and
+    ``jobs`` are fixed there), and the ``end`` event carries both, so a
+    finished wait needs no ``refresh()`` round trip.
+    """
+    data["status"] = end.status
+    data["counts"] = end.counts
+
+
 @dataclass(frozen=True)
 class JobEvent:
     """One streamed completion event (a JSONL line, typed)."""
@@ -345,8 +357,9 @@ class Campaign:
                     f"{timeout:g}s"
                 )
             if event.terminal:
+                _finish(self.data, event)
                 break
-        return self.refresh()
+        return self
 
     def results(self) -> list[dict]:
         """Every job record (spec + metrics), one dict per job."""
@@ -517,11 +530,15 @@ class Session:
             "GET", f"/api/jobs/{job_id}"
         ))
 
+    def close(self) -> None:
+        """Close the kept connections; the next request dials afresh."""
+        self._transport.close()
+
     def __enter__(self) -> "Session":
         return self
 
     def __exit__(self, *exc) -> None:
-        pass  # connections are per-request; nothing to tear down
+        self.close()
 
 
 class AsyncCampaign:
@@ -589,8 +606,9 @@ class AsyncCampaign:
     async def wait(self) -> "AsyncCampaign":
         async for event in self.stream():
             if event.terminal:
+                _finish(self.data, event)
                 break
-        return await self.refresh()
+        return self
 
     async def jobs(self, **filters) -> list[dict]:
         data = await self._session._transport.request(

@@ -1,12 +1,15 @@
 """HTTP transports for the fluent client: blocking and asyncio.
 
-Both speak the job server's one-request-per-connection dialect
-(:mod:`repro.service.server`): JSON request/response bodies, and JSONL
+Both speak the job server's dialect (:mod:`repro.service.server`):
+JSON request/response bodies framed by ``Content-Length``, and JSONL
 streams framed by connection close.  The blocking transport rides
-stdlib ``http.client``; the async one rides ``asyncio.open_connection``
-with the same minimal HTTP/1.1 the server itself uses.  Everything
-above this module (sessions, elements, collections) is transport-
-agnostic.
+stdlib ``http.client`` and keeps its JSON connections up between
+requests (a stream always gets a connection of its own, since reading
+it to the end closes it); the async one rides
+``asyncio.open_connection`` with the same minimal HTTP/1.1 the server
+itself uses and asks for ``Connection: close`` on every request.
+Everything above this module (sessions, elements, collections) is
+transport-agnostic.
 
 Failure taxonomy (what the retry/reconnect layers classify on):
 
@@ -27,6 +30,7 @@ import asyncio
 import http.client
 import json
 import random
+import select
 import socket
 import time
 import urllib.parse
@@ -93,8 +97,25 @@ def _qs(params: dict | None) -> str:
     return "?" + urllib.parse.urlencode(clean) if clean else ""
 
 
+def _hung_up(sock: socket.socket) -> bool:
+    """An idle connection that is readable has nothing good to say: the
+    peer closed it (EOF), reset it, or wrote out of turn."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
 class HttpTransport:
-    """Blocking transport: one ``http.client`` connection per request.
+    """Blocking transport over kept-alive ``http.client`` connections.
+
+    A request takes a connection from the idle list, or dials one, and
+    hands it back once the response has been read in full.  The list is
+    only ever touched by ``pop()`` and ``append()``, each atomic, so
+    threads sharing a transport never hold the same connection.  An
+    idle connection the server has since closed (restart, idle timeout)
+    is detected *before* anything is sent on it and replaced by a fresh
+    one, so reuse never costs a request.  :meth:`close` drops the idle
+    connections.
 
     ``retries``/``backoff_base``/``backoff_cap`` govern the automatic
     retry of *idempotent* (GET) requests on transport-level failures --
@@ -117,11 +138,29 @@ class HttpTransport:
         self.retries = retries
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
+        self._idle: list[http.client.HTTPConnection] = []
 
     def _connect(self) -> http.client.HTTPConnection:
         return http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
+
+    def _checkout(self) -> http.client.HTTPConnection:
+        """A kept connection the server has not hung up on, else a new one."""
+        while True:
+            try:
+                conn = self._idle.pop()
+            except IndexError:
+                return self._connect()
+            if not _hung_up(conn.sock):
+                return conn
+            conn.close()
+
+    def close(self) -> None:
+        """Close the idle connections; the transport stays usable."""
+        idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     def _headers(self) -> dict:
         headers = {"Accept": "application/json"}
@@ -159,24 +198,29 @@ class HttpTransport:
             time.sleep(delay)
 
     def _request_once(self, method, path, body, params) -> dict:
-        conn = self._connect()
+        payload = json.dumps(body).encode() if body is not None else None
+        headers = self._headers()
+        if payload is not None:
+            headers["Content-Type"] = "application/json"
+        conn = self._checkout()
         try:
-            payload = json.dumps(body).encode() if body is not None else None
-            headers = self._headers()
-            if payload is not None:
-                headers["Content-Type"] = "application/json"
             conn.request(method, path + _qs(params), body=payload,
                          headers=headers)
             resp = conn.getresponse()
             data = resp.read()
-            parsed = json.loads(data) if data else {}
-            if resp.status >= 400:
-                raise ServiceError(
-                    resp.status, parsed.get("error", data.decode()[:200])
-                )
-            return parsed
-        finally:
+        except BaseException:
             conn.close()
+            raise
+        # http.client has already closed a connection whose response
+        # said ``Connection: close``; any other is good for another.
+        if conn.sock is not None:
+            self._idle.append(conn)
+        parsed = json.loads(data) if data else {}
+        if resp.status >= 400:
+            raise ServiceError(
+                resp.status, parsed.get("error", data.decode()[:200])
+            )
+        return parsed
 
     def stream(
         self, path: str, *, params: dict | None = None

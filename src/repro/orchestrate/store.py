@@ -88,8 +88,11 @@ class BaseResultStore:
 
     ``record`` is last-record-wins per key; ``cached_metrics`` only
     honours the latest record when it succeeded, so failures are
-    remembered but always re-executed.
+    remembered but always re-executed.  ``path`` is where the store
+    lives: a file for JSONL, the root directory for sqlite.
     """
+
+    path: Path
 
     def __len__(self) -> int:
         raise NotImplementedError

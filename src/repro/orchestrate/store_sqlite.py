@@ -19,6 +19,19 @@ single lookup: a spec already computed under *any* campaign (or tenant)
 is a cache hit for every later one.  Writes are last-record-wins
 (``INSERT OR REPLACE``), matching JSONL replay semantics, and sqlite's
 own locking makes concurrent multi-process appends safe.
+
+Durability: every database runs in ``journal_mode=WAL`` with
+``synchronous=FULL``.  A commit appends its pages to ``<name>.db-wal``
+and fsyncs that file once, so a record is on disk when ``record()``
+returns -- the guarantee the rollback journal gave, without creating,
+syncing and unlinking a journal file per commit.  The mode is stored in
+the database file: a store written in rollback mode converts the first
+time it is opened here.  ``<name>.db-wal`` and ``<name>.db-shm`` sit
+beside each open database; the last connection to close folds the WAL
+back into the ``.db`` and removes both, and a process killed before
+that leaves a WAL the next open replays.  The ``-shm`` file is a memory
+mapping shared by every process that has the database open, which is
+why a store must live on a local filesystem, not a network one.
 """
 
 from __future__ import annotations
@@ -64,29 +77,43 @@ class SqliteResultStore(BaseResultStore):
     """Per-campaign sharded sqlite store with a global key index."""
 
     def __init__(self, root) -> None:
-        self.root = Path(root)
-        (self.root / "shards").mkdir(parents=True, exist_ok=True)
-        self._index = self._open(self.root / "index.db", _INDEX_SCHEMA)
+        self.path = Path(root)
+        (self.path / "shards").mkdir(parents=True, exist_ok=True)
+        # Every database, the index included, opens on first use: a
+        # server that starts over a store pays for what it touches.
+        self._index_conn: sqlite3.Connection | None = None
         self._shards: dict[str, sqlite3.Connection] = {}
 
     @staticmethod
     def _open(path: Path, schema: str) -> sqlite3.Connection:
         conn = sqlite3.connect(path, check_same_thread=False)
-        conn.executescript(schema)
-        conn.commit()
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA synchronous=FULL")
+        # One transaction around the whole schema: each DDL statement
+        # on its own would be its own synced commit.
+        conn.executescript(f"BEGIN;{schema}COMMIT;")
+        return conn
+
+    @property
+    def _index(self) -> sqlite3.Connection:
+        conn = self._index_conn
+        if conn is None:
+            conn = self._index_conn = self._open(
+                self.path / "index.db", _INDEX_SCHEMA
+            )
         return conn
 
     def _shard(self, name: str) -> sqlite3.Connection:
         conn = self._shards.get(name)
         if conn is None:
             conn = self._open(
-                self.root / "shards" / f"{name}.db", _SHARD_SCHEMA
+                self.path / "shards" / f"{name}.db", _SHARD_SCHEMA
             )
             self._shards[name] = conn
         return conn
 
     def _shard_names(self) -> list[str]:
-        on_disk = {p.stem for p in (self.root / "shards").glob("*.db")}
+        on_disk = {p.stem for p in (self.path / "shards").glob("*.db")}
         return sorted(on_disk | set(self._shards))
 
     def _shard_of(self, key: str) -> str | None:
@@ -185,13 +212,15 @@ class SqliteResultStore(BaseResultStore):
         for conn in self._shards.values():
             conn.close()
         self._shards.clear()
-        self._index.close()
+        if self._index_conn is not None:
+            self._index_conn.close()
+            self._index_conn = None
 
     def describe(self) -> dict:
         shards = self._shard_names()
         return {
             "backend": "sqlite",
-            "path": str(self.root),
+            "path": str(self.path),
             "records": len(self),
             "shards": shards,
         }

@@ -57,6 +57,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from repro.orchestrate.store import BaseResultStore
+from repro.orchestrate.store_sqlite import SqliteResultStore
 
 OP_CAMPAIGN = "campaign"
 OP_CANCEL = "cancel"
@@ -170,7 +171,7 @@ def default_journal_path(store: BaseResultStore) -> Path:
     Sqlite stores are directories, so the journal joins ``index.db``
     at the root; a JSONL store gets a ``.journal`` sibling.
     """
-    path = Path(store.describe()["path"])
-    if store.describe()["backend"] == "sqlite":
+    path = store.path
+    if isinstance(store, SqliteResultStore):
         return path / "journal.jsonl"
     return path.with_name(path.name + ".journal")

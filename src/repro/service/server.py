@@ -1,11 +1,20 @@
 """The asyncio HTTP job server (stdlib only).
 
 A deliberately small HTTP/1.1 implementation over ``asyncio.start_server``
--- request line + headers + Content-Length body in, JSON out, one
-request per connection (``Connection: close``) so streaming responses
-can simply write JSONL until EOF.  No external web framework: the
-container bakes in only the standard toolchain, and the API surface is
-a dozen routes.
+-- request line + headers + Content-Length body in, JSON or JSONL out.
+No external web framework: the container bakes in only the standard
+toolchain, and the API surface is a dozen routes.
+
+Connections are persistent where the framing allows it.  A JSON
+response carries ``Content-Length``, so the connection then waits for
+the next request; it ends when the client closes it, asks for
+``Connection: close``, speaks HTTP/1.0, or sends a request head that
+cannot be parsed (answered 400, then closed).  The two JSONL routes
+(``/stream``, ``/results``) have no length -- the client reads lines
+until EOF -- so they announce ``Connection: close`` and end the
+connection.  A connection that stays silent between requests for
+``IDLE_CONNECTION_S`` is closed, and :meth:`JobServer.stop` closes the
+idle ones at once.
 
 REST surface (see docs/SERVICE.md for the full contract)::
 
@@ -63,6 +72,7 @@ logger = get_logger("service")
 API_VERSION = 1
 MAX_BODY_BYTES = 256 << 20  # campaign documents can be large; specs are not
 MAX_HEADER_BYTES = 64 << 10
+IDLE_CONNECTION_S = 30.0  # a kept connection may idle this long
 TENANT_HEADER = "x-repro-tenant"
 JSONL_EVENTS_PER_WRITE = 256
 
@@ -166,6 +176,8 @@ class JobServer:
         # real worker death.
         self._crash_requeues: dict[str, int] = {}
         self._stopping = False
+        # Writers of connections waiting for their next request.
+        self._idle: set[asyncio.StreamWriter] = set()
 
     # -- lifecycle ------------------------------------------------------
 
@@ -224,7 +236,7 @@ class JobServer:
         logger.info("service listening on %s:%d (workers=%d, %s executor, "
                     "store=%s)", self.config.host, self.port,
                     self.config.workers, self.config.executor,
-                    self.state.store.describe()["path"])
+                    self.state.store.path)
 
     @property
     def port(self) -> int:
@@ -250,6 +262,11 @@ class JobServer:
         self._stopping = True
         if self._server is not None:
             self._server.close()
+            # From Python 3.12.1 wait_closed() waits for every open
+            # connection, so a client parked between requests would
+            # hold the drain for as long as it liked.
+            for writer in list(self._idle):
+                writer.close()
             await self._server.wait_closed()
         if self._pump_task is not None:
             self._pump_task.cancel()
@@ -416,31 +433,8 @@ class JobServer:
 
     async def _handle_connection(self, reader, writer) -> None:
         try:
-            try:
-                method, path, query, headers, body = await _read_request(
-                    reader
-                )
-            except _HttpError as exc:
-                await _send_json(
-                    writer, {"error": str(exc)}, status=exc.status
-                )
-                return
-            try:
-                await self._route(
-                    method, path, query, headers, body, writer
-                )
-            except _HttpError as exc:
-                await _send_json(
-                    writer, {"error": str(exc)}, status=exc.status
-                )
-            except ConfigError as exc:
-                await _send_json(writer, {"error": str(exc)}, status=400)
-            except Exception as exc:  # pragma: no cover - defensive
-                logger.error("internal error handling %s %s: %s",
-                             method, path, exc)
-                await _send_json(
-                    writer, {"error": f"internal error: {exc}"}, status=500
-                )
+            while await self._serve_request(reader, writer):
+                pass
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request/response
         finally:
@@ -450,28 +444,68 @@ class JobServer:
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
 
+    async def _serve_request(self, reader, writer) -> bool:
+        """Answer one request; True when the connection can carry another."""
+        self._idle.add(writer)
+        idle = asyncio.get_running_loop().call_later(
+            IDLE_CONNECTION_S, writer.close
+        )
+        try:
+            try:
+                head = await _read_head(reader)
+            finally:
+                idle.cancel()
+                self._idle.discard(writer)
+            if head is None:
+                return False  # hung up between requests: EOF, not an error
+            method, path, query, headers, body, keep_alive = (
+                await _read_request(head, reader)
+            )
+        except _HttpError as exc:
+            # Where the next request would start is no longer known.
+            await _Reply(writer, keep_alive=False).json(
+                {"error": str(exc)}, status=exc.status
+            )
+            return False
+        reply = _Reply(writer, keep_alive)
+        try:
+            await self._route(method, path, query, headers, body, reply)
+        except _HttpError as exc:
+            await reply.json({"error": str(exc)}, status=exc.status)
+        except ConfigError as exc:
+            await reply.json({"error": str(exc)}, status=400)
+        except Exception as exc:  # pragma: no cover - defensive
+            logger.error("internal error handling %s %s: %s",
+                         method, path, exc)
+            await reply.json(
+                {"error": f"internal error: {exc}"}, status=500
+            )
+        # A request that was in flight when stop() closed the idle
+        # connections must not park a new one behind its back.
+        return reply.keep_alive and not self._stopping
+
     async def _route(
-        self, method, path, query, headers, body, writer
+        self, method, path, query, headers, body, reply
     ) -> None:
         parts = [p for p in path.split("/") if p]
         if path == "/health" and method == "GET":
-            await _send_json(writer, {
+            await reply.json({
                 "status": "ok",
                 "api_version": API_VERSION,
                 "uptime_s": round(time.time() - self.state.started_at, 3),
             })
             return
         if path == "/api/store" and method == "GET":
-            await _send_json(writer, self.state.describe())
+            await reply.json(self.state.describe())
             return
         if parts[:2] == ["api", "campaigns"]:
             await self._route_campaigns(
-                method, parts[2:], query, headers, body, writer
+                method, parts[2:], query, headers, body, reply
             )
             return
         if parts[:2] == ["api", "jobs"]:
             await self._route_jobs(
-                method, parts[2:], query, headers, body, writer
+                method, parts[2:], query, headers, body, reply
             )
             return
         raise _HttpError(404, f"no such route: {method} {path}")
@@ -479,14 +513,14 @@ class JobServer:
     # -- campaign routes ------------------------------------------------
 
     async def _route_campaigns(
-        self, method, rest, query, headers, body, writer
+        self, method, rest, query, headers, body, reply
     ) -> None:
         if not rest:
             if method == "POST":
                 campaign = self._submit(body or {}, headers)
-                await _send_json(writer, campaign.as_dict())
+                await reply.json(campaign.as_dict())
             elif method == "GET":
-                await _send_json(writer, {
+                await reply.json({
                     "campaigns": [
                         c.as_dict() for c in self.state.campaigns.values()
                     ]
@@ -499,10 +533,10 @@ class JobServer:
             raise _HttpError(404, f"no such campaign: {rest[0]}")
         sub = rest[1] if len(rest) > 1 else None
         if sub is None and method == "GET":
-            await _send_json(writer, campaign.as_dict())
+            await reply.json(campaign.as_dict())
         elif sub == "cancel" and method == "POST":
             cancelled = self.state.cancel_campaign(campaign)
-            await _send_json(writer, {
+            await reply.json({
                 "id": campaign.campaign_id,
                 "cancelled": cancelled,
                 "status": campaign.status,
@@ -512,20 +546,20 @@ class JobServer:
                 campaign_id=campaign.campaign_id,
                 status=query.get("status"),
             )
-            await _send_json(writer, {
+            await reply.json({
                 "jobs": [j.as_dict(with_spec=False) for j in jobs]
             })
         elif sub == "results" and method == "GET":
             async def dump():
                 yield (job.as_dict() for job in campaign.jobs)
-            await _send_jsonl(writer, dump())
+            await reply.jsonl(dump())
         elif sub == "stream" and method == "GET":
             try:
                 since = int(query.get("since", 0) or 0)
             except ValueError:
                 raise _HttpError(400, f"bad since cursor: {query['since']!r}")
-            await _send_jsonl(
-                writer, self.state.stream_events(campaign, since=since)
+            await reply.jsonl(
+                self.state.stream_events(campaign, since=since)
             )
         else:
             raise _HttpError(404, f"no such campaign route: {sub}")
@@ -572,7 +606,7 @@ class JobServer:
     # -- job routes -----------------------------------------------------
 
     async def _route_jobs(
-        self, method, rest, query, headers, body, writer
+        self, method, rest, query, headers, body, reply
     ) -> None:
         if not rest:
             if method == "POST":
@@ -582,8 +616,8 @@ class JobServer:
                 spec = JobSpec.from_dict(body["spec"])
                 name = str(body.get("name", spec.label or spec.key()))
                 campaign = self._submit_specs(name, [spec], body, headers)
-                await _send_json(
-                    writer, campaign.jobs[0].as_dict(with_spec=False)
+                await reply.json(
+                    campaign.jobs[0].as_dict(with_spec=False)
                 )
             elif method == "GET":
                 campaign_id = query.get("campaign")
@@ -595,7 +629,7 @@ class JobServer:
                     tenant=query.get("tenant"),
                     status=query.get("status"),
                 )
-                await _send_json(writer, {
+                await reply.json({
                     "jobs": [j.as_dict(with_spec=False) for j in jobs]
                 })
             else:
@@ -606,25 +640,33 @@ class JobServer:
             raise _HttpError(404, f"no such job: {'/'.join(rest)}")
         if method != "GET":
             raise _HttpError(405, f"{method} not allowed here")
-        await _send_json(writer, job.as_dict())
+        await reply.json(job.as_dict())
 
 
 # -- wire helpers -------------------------------------------------------
 
 
-async def _read_request(reader):
-    """Parse one HTTP request: (method, path, query, headers, json_body)."""
+async def _read_head(reader) -> bytes | None:
+    """The next request's head, or None when the client hung up first."""
     try:
         head = await reader.readuntil(b"\r\n\r\n")
     except asyncio.LimitOverrunError:
         raise _HttpError(413, "request head too large")
-    except asyncio.IncompleteReadError:
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            return None
         raise _HttpError(400, "truncated request")
     if len(head) > MAX_HEADER_BYTES:
         raise _HttpError(413, "request head too large")
+    return head
+
+
+async def _read_request(head: bytes, reader):
+    """Parse one HTTP request and read its body:
+    (method, path, query, headers, json_body, keep_alive)."""
     lines = head.decode("latin-1").split("\r\n")
     try:
-        method, target, _version = lines[0].split(" ", 2)
+        method, target, version = lines[0].split(" ", 2)
     except ValueError:
         raise _HttpError(400, f"malformed request line: {lines[0]!r}")
     headers = {}
@@ -639,7 +681,12 @@ async def _read_request(reader):
         for k, v in urllib.parse.parse_qs(parsed.query).items()
     }
     body = None
-    length = int(headers.get("content-length", 0) or 0)
+    declared = headers.get("content-length") or "0"
+    if not declared.isdecimal():
+        # A length that cannot be trusted is a body that cannot be
+        # skipped, and the next request on this connection hides in it.
+        raise _HttpError(400, f"bad Content-Length: {declared!r}")
+    length = int(declared)
     if length > MAX_BODY_BYTES:
         raise _HttpError(413, f"body of {length} bytes exceeds limit")
     if length:
@@ -648,48 +695,67 @@ async def _read_request(reader):
             body = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise _HttpError(400, f"body is not valid JSON: {exc}")
-    return method.upper(), parsed.path, query, headers, body
-
-
-def _head(status: int, content_type: str, extra: str = "") -> bytes:
-    reason = _REASONS.get(status, "?")
-    return (
-        f"HTTP/1.1 {status} {reason}\r\n"
-        f"Content-Type: {content_type}\r\n"
-        f"Connection: close\r\n{extra}\r\n"
-    ).encode("latin-1")
-
-
-async def _send_json(writer, obj, status: int = 200) -> None:
-    payload = (json.dumps(obj) + "\n").encode()
-    writer.write(
-        _head(status, "application/json",
-              f"Content-Length: {len(payload)}\r\n")
+    keep_alive = (
+        version.strip().upper() == "HTTP/1.1"
+        and headers.get("connection", "").lower() != "close"
     )
-    writer.write(payload)
-    await writer.drain()
+    return method.upper(), parsed.path, query, headers, body, keep_alive
 
 
-async def _send_jsonl(writer, batches) -> None:
-    """Stream an async iterator of batches of dicts as JSON Lines.
+class _Reply:
+    """One request's answer, and whether the connection outlives it.
 
-    No Content-Length: the client reads lines until the connection
-    closes, which is what makes live campaign streaming work over
-    plain ``http.client``.  A batch is what its producer had ready at
-    once; it goes out in writes of up to ``JSONL_EVENTS_PER_WRITE``
-    lines, each drained before the next is encoded, so a large dump
-    never sits in memory whole.
+    A JSON body carries Content-Length, so another request can follow
+    it.  JSONL has no length: the client reads lines until the
+    connection closes, which is what makes live campaign streaming work
+    over plain ``http.client``, and is why a JSONL reply ends the
+    connection.
     """
-    writer.write(_head(200, "application/jsonl"))
-    await writer.drain()
-    async for batch in batches:
-        events = iter(batch)
-        while chunk := b"".join(
-            (json.dumps(event) + "\n").encode()
-            for event in itertools.islice(events, JSONL_EVENTS_PER_WRITE)
-        ):
-            writer.write(chunk)
-            await writer.drain()
+
+    def __init__(self, writer, keep_alive: bool) -> None:
+        self.writer = writer
+        self.keep_alive = keep_alive
+
+    def _head(
+        self, status: int, content_type: str, extra: str = ""
+    ) -> bytes:
+        reason = _REASONS.get(status, "?")
+        if not self.keep_alive:
+            extra += "Connection: close\r\n"
+        return (
+            f"HTTP/1.1 {status} {reason}\r\n"
+            f"Content-Type: {content_type}\r\n{extra}\r\n"
+        ).encode("latin-1")
+
+    async def json(self, obj, status: int = 200) -> None:
+        payload = (json.dumps(obj) + "\n").encode()
+        self.writer.write(
+            self._head(status, "application/json",
+                       f"Content-Length: {len(payload)}\r\n")
+            + payload
+        )
+        await self.writer.drain()
+
+    async def jsonl(self, batches) -> None:
+        """Stream an async iterator of batches of dicts as JSON Lines.
+
+        A batch is what its producer had ready at once; it goes out in
+        writes of up to ``JSONL_EVENTS_PER_WRITE`` lines, each drained
+        before the next is encoded, so a large dump never sits in
+        memory whole.
+        """
+        self.keep_alive = False
+        writer = self.writer
+        writer.write(self._head(200, "application/jsonl"))
+        await writer.drain()
+        async for batch in batches:
+            events = iter(batch)
+            while chunk := b"".join(
+                (json.dumps(event) + "\n").encode()
+                for event in itertools.islice(events, JSONL_EVENTS_PER_WRITE)
+            ):
+                writer.write(chunk)
+                await writer.drain()
 
 
 # -- embedding and CLI entrypoints --------------------------------------

@@ -9,13 +9,19 @@ idempotent requests, and exactly-once resumption via ``?since=``.
 
 import asyncio
 import json
+import re
 import socket
 import threading
 import time
 
 import pytest
 
-from repro.client import Session, StreamInterrupted, TransportError
+from repro.client import (
+    ServiceError,
+    Session,
+    StreamInterrupted,
+    TransportError,
+)
 from repro.client.session import AsyncSession
 from repro.client.transport import (
     AsyncHttpTransport,
@@ -81,6 +87,19 @@ def http_response(body: dict, status: int = 200) -> bytes:
         f"HTTP/1.1 {status} X\r\nContent-Type: application/json\r\n"
         f"Content-Length: {len(payload)}\r\nConnection: close\r\n\r\n"
     ).encode() + payload
+
+
+def kept_response(body: dict, status: int = 200) -> bytes:
+    """A response that leaves the connection up (no ``Connection: close``)."""
+    payload = json.dumps(body).encode()
+    return (
+        f"HTTP/1.1 {status} X\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {len(payload)}\r\n\r\n"
+    ).encode() + payload
+
+
+def request_line(request: bytes) -> str:
+    return request.split(b"\r\n", 1)[0].decode()
 
 
 @pytest.fixture
@@ -153,7 +172,14 @@ class TestIdempotentRetry:
 
     def test_post_is_never_auto_retried(self, scripted):
         def handler(conn, n):
-            read_request(conn)  # always die pre-response
+            # Always die pre-response -- but take the body first: closing
+            # on unread bytes is a reset, which the client may meet while
+            # still sending and report as a raw ConnectionResetError.
+            head, _, body = read_request(conn).partition(b"\r\n\r\n")
+            length = int(re.search(rb"content-length: (\d+)",
+                                   head.lower()).group(1))
+            while len(body) < length:
+                body += conn.recv(4096)
 
         server = scripted(handler)
         transport = HttpTransport(
@@ -185,6 +211,101 @@ class TestIdempotentRetry:
             transport.request("GET", "/api/campaigns/ghost")
         assert not isinstance(err.value, TransportError)
         assert server.connections == 1
+
+
+class TestKeptConnections:
+    def test_sequential_requests_share_one_connection(self, scripted):
+        def handler(conn, n):
+            while request := read_request(conn):
+                conn.sendall(kept_response({"saw": request_line(request)}))
+
+        server = scripted(handler)
+        transport = HttpTransport(server.url)
+        for i in range(20):
+            reply = transport.request("GET", f"/api/jobs/j-{i}")
+            assert reply == {"saw": f"GET /api/jobs/j-{i} HTTP/1.1"}
+        assert server.connections == 1
+        transport.close()
+
+    def test_error_status_keeps_the_connection(self, scripted):
+        def handler(conn, n):
+            while read_request(conn):
+                conn.sendall(kept_response({"error": "nope"}, status=404))
+
+        server = scripted(handler)
+        transport = HttpTransport(server.url)
+        for _ in range(3):
+            with pytest.raises(ServiceError) as err:
+                transport.request("GET", "/api/campaigns/ghost")
+            assert err.value.status == 404
+        assert server.connections == 1
+        transport.close()
+
+    def test_connection_close_reply_is_redialled_transparently(
+        self, scripted
+    ):
+        """An older server (and every fake above) answers one request
+        per connection; the client must simply dial again."""
+
+        def handler(conn, n):
+            read_request(conn)
+            conn.sendall(http_response({"n": n}))
+
+        server = scripted(handler)
+        transport = HttpTransport(server.url, retries=0)
+        assert [
+            transport.request("GET", "/health")["n"] for _ in range(3)
+        ] == [1, 2, 3]
+        assert server.connections == 3
+
+    def test_dead_idle_connection_never_costs_a_post(self, scripted):
+        """The server hangs up on the kept connection (a restart, an
+        idle timeout).  The next request is a POST, which is never
+        resent: the client must notice *before* sending anything."""
+        closed = threading.Event()
+        posts = []
+
+        def handler(conn, n):
+            request = read_request(conn)
+            if n == 1:
+                conn.sendall(kept_response({"n": n}))
+                conn.close()
+                closed.set()
+                return
+            posts.append(request_line(request))
+            conn.sendall(kept_response({"n": n}))
+            read_request(conn)  # until the client closes
+
+        server = scripted(handler)
+        transport = HttpTransport(server.url, retries=0)
+        assert transport.request("GET", "/health") == {"n": 1}
+        assert closed.wait(5)
+        assert transport.request(
+            "POST", "/api/campaigns", body={"x": 1}
+        ) == {"n": 2}
+        assert posts == ["POST /api/campaigns HTTP/1.1"]
+        assert server.connections == 2
+        transport.close()
+
+    def test_session_close_drops_kept_connections(self, scripted):
+        hung_up = threading.Event()
+
+        def handler(conn, n):
+            while read_request(conn):
+                conn.sendall(kept_response({"status": "ok"}))
+            hung_up.set()
+
+        server = scripted(handler)
+        with Session(server.url) as session:
+            session.health()
+            session.health()
+            assert not hung_up.is_set()
+        assert hung_up.wait(5)
+        assert server.connections == 1
+        # Closed is not broken: the next request dials afresh.
+        assert session.health() == {"status": "ok"}
+        session.close()
+        assert server.connections == 2
 
 
 class TestStreamInterruption:
