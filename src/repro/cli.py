@@ -860,9 +860,9 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--buffer-depth", type=int, default=4)
         p.add_argument("--backend", default="active",
                        choices=["reference", "active", "vectorized"],
-                       help="stepping core: reference O(N) loop, active-set"
-                            " object core, or vectorized struct-of-arrays"
-                            " core (all bit-identical)")
+                       help="stepping core: reference O(N) loop, or the "
+                            "struct-of-arrays fast core (named active or "
+                            "vectorized); bit-identical")
         p.add_argument("--deadlock-check", type=int, default=0,
                        help="check interval in cycles; 0 = off")
         p.add_argument("--progress-timeout", type=int, default=0,

@@ -33,6 +33,15 @@ class ProtocolError(ReproError):
     """
 
 
+class BackendDivergence(ProtocolError):
+    """The fast stepping core and ``step_reference`` disagreed on one spec.
+
+    Raised by the differential oracle in
+    :func:`repro.orchestrate.runner.execute_job`; the message names the
+    first observable that differs.
+    """
+
+
 class DeadlockError(ReproError):
     """The runtime deadlock detector found a cycle in the wait-for graph.
 

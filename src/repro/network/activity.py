@@ -99,10 +99,3 @@ class ActivityTracker:
         missing = needy - self.active_nis
         if missing:
             raise AssertionError(f"NIs with work not registered: {sorted(missing)}")
-        # With the vectorized backend attached, also assert its flat
-        # arrays against the per-object ground truth (same spirit: the
-        # fast path's bookkeeping must never drift from what a full scan
-        # would reconstruct).
-        core = getattr(network, "_core", None)
-        if core is not None and core.attached:
-            core.validate(network)

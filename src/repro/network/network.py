@@ -14,8 +14,6 @@ reproducible; all intra-cycle interactions are pipelined by the
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.circuits.plane import WavePlane
 from repro.core.baseline import WormholeOnlyEngine
 from repro.core.carp import CARPEngine, CircuitClose, CircuitOpen
@@ -36,9 +34,6 @@ from repro.topology import build_topology
 from repro.topology.faults import KILL, FaultSchedule, FaultSet
 from repro.wormhole.router import WormholeRouter
 from repro.wormhole.routing import make_routing
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 
 class Network:
@@ -135,13 +130,13 @@ class Network:
                 for n in range(self.topology.num_nodes)
             ]
 
-        # Struct-of-arrays stepping core, built lazily on the first
-        # vectorized step (after all wiring above is final).
+        # Struct-of-arrays stepping core, built lazily on the first step
+        # with a busy router (after all wiring above is final).
+        # ``active`` and ``vectorized`` both name it; ``reference`` binds
+        # the executable spec instead.
         self._core: VectorizedCore | None = None
         if config.backend == "reference":
             self.step = self.step_reference  # type: ignore[method-assign]
-        elif config.backend == "vectorized":
-            self.step = self.step_vectorized  # type: ignore[method-assign]
 
     def attach_event_log(self, log) -> None:
         """Enable protocol event tracing (:mod:`repro.sim.events`).
@@ -162,11 +157,10 @@ class Network:
             ni.log = log
             if ni.engine is not None:
                 ni.engine.log = log
-        # The core caches per-router log references; rebuild it.
-        if self._core is not None:
-            if self._core.attached:
-                self._core.detach()
-            self._core = None
+        # The core caches per-router log references; attach() re-reads
+        # them.
+        if self._core is not None and self._core.attached:
+            self._core.detach()
 
     # -- injection -------------------------------------------------------
 
@@ -273,7 +267,10 @@ class Network:
     def step(self) -> None:
         """Advance one cycle, touching only *active* components.
 
-        Cycle-exact with :meth:`step_reference` (the original O(N) loop):
+        The router phases run inside
+        :class:`~repro.network.vectorized.VectorizedCore` over flat
+        channel-state arrays.  Cycle-exact with :meth:`step_reference`
+        (the original O(N) loop):
 
         * NIs run in sorted node order; an NI's ``pre_cycle`` never
           activates another NI, and on a drained NI it is a no-op, so
@@ -283,47 +280,17 @@ class Network:
           ``WavePlane.step`` over empty probe/flit/transfer lists has no
           effect.
         * Routers run in sorted node order for both phases (credit
-          returns flow upstream mid-traversal, so order matters).  The
+          returns flow upstream mid-traversal, so order matters), each
+          over its own ``_active`` set in that set's iteration order.  The
           snapshot taken before the route phase equals the live busy set:
-          ``route_phase`` never en/de-queues flits, and a router first
-          activated *during* the traversal loop holds only flits with
-          ``arrival == cycle + 1``, for which ``traversal_phase`` is a
-          guaranteed no-op in the reference loop too.
-        """
-        cycle = self.cycle
-        if self.fault_schedule is not None and self.fault_schedule.has_due(cycle):
-            self._apply_due_faults(cycle)
-        work = 0
-        tracker = self.activity
-        if tracker.active_nis:
-            for idx in sorted(tracker.active_nis):
-                work += self.interfaces[idx].pre_cycle(cycle)
-        plane = self.plane
-        if plane is not None and not plane.is_idle():
-            before = plane.work_done
-            plane.step(cycle)
-            work += plane.work_done - before
-        if tracker.active_routers:
-            order = sorted(tracker.active_routers)
-            routers = self.routers
-            for idx in order:
-                routers[idx].route_phase(cycle)
-            for idx in order:
-                work += routers[idx].traversal_phase(cycle)
-        self.work_counter += work
-        self.cycle = cycle + 1
+          routing never en/de-queues flits, and a router first activated
+          *during* the traversal loop holds only flits with
+          ``arrival == cycle``, which cannot move this cycle in the
+          reference loop either.
 
-    def step_vectorized(self) -> None:
-        """Advance one cycle with the struct-of-arrays wormhole core.
-
-        NI/plane scheduling is identical to :meth:`step`; the router
-        phases run inside :class:`~repro.network.vectorized.VectorizedCore`
-        over flat channel-state arrays, in the same sorted node order and
-        the same per-``_active``-set iteration order, so results stay
-        bit-identical to :meth:`step_reference`.  Fault reactions hand
-        state back to the router objects first (they purge worms through
-        the object API); introspection goes through
-        :meth:`materialize_views`.
+        Fault reactions hand state back to the router objects first (they
+        purge worms through the object API); anything reading router
+        scalars calls :meth:`materialize_views` first.
         """
         cycle = self.cycle
         if self.fault_schedule is not None and self.fault_schedule.has_due(cycle):
@@ -353,9 +320,10 @@ class Network:
     def materialize_views(self) -> None:
         """Refresh router-object state from the vectorized core's arrays.
 
-        No-op on the other backends (the objects are already live).
-        Needed before anything reads per-router routing/credit state
-        directly: the deadlock detector, the invariant harness, tests.
+        No-op on ``reference`` and while the core is detached (the
+        objects are already live).  Every reader of per-router
+        routing/credit state calls it first: the wait graph, the credit
+        invariant, the end of ``Simulator.run``, tests.
         """
         if self._core is not None and self._core.attached:
             self._core.materialize()
@@ -424,5 +392,4 @@ class Network:
         """Raise :class:`~repro.errors.DeadlockError` on a wait-for cycle."""
         from repro.verify.deadlock import assert_no_deadlock
 
-        self.materialize_views()
         assert_no_deadlock(self)

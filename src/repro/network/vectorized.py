@@ -1,10 +1,14 @@
 """Struct-of-arrays stepping core for the wormhole data path.
 
-The active-set core (DESIGN.md §9) made stepping O(active components),
-but each flit movement still pays object-graph prices: attribute chains,
-``InputVC``/``OutputVC`` method calls, a ``stats.bump`` dict update per
-event, and a fresh ``routing.candidates`` computation per blocked header
-per cycle.  At saturation that is the entire bill.
+This is the production core: ``Network.step`` runs it on the default
+``active`` backend (``vectorized`` is another name for it).  The
+per-object router phases (``WormholeRouter.route_phase`` /
+``traversal_phase``) survive only as the executable spec that
+``Network.step_reference`` drives; moving flits through them pays
+object-graph prices: attribute chains, ``InputVC``/``OutputVC`` method
+calls, a ``stats.bump`` dict update per event, and a fresh
+``routing.candidates`` computation per blocked header per cycle.  At
+saturation that is the entire bill.
 
 :class:`VectorizedCore` flattens the per-channel scalar state of every
 router into arrays indexed by a global virtual-channel number and
@@ -28,11 +32,9 @@ The bit-identity contract (``work_counter``, delivered records, stats
 counters) against ``Network.step_reference`` is enforced by
 ``tests/integration/test_cycle_exact.py`` over every protocol/topology
 combination, with fault schedules and the reliability layer enabled,
-plus the ``tests/corpus/`` fuzz reproducers.
-
-An optional numba kernel behind this same interface is the obvious next
-step for the flat arrays; the container image does not ship numba, so
-the pure-Python loops below are the only implementation for now.
+plus the ``tests/corpus/`` fuzz reproducers, and on every generated
+scenario by the fuzzer's differential oracle
+(``repro.orchestrate.runner.execute_job``).
 """
 
 from __future__ import annotations
@@ -50,16 +52,17 @@ if TYPE_CHECKING:  # pragma: no cover
 # real port index and from the EJECT/INJECT/DROP sentinels (-1/-2/-3).
 UNROUTED = -10
 
-# (counter-attribute, stats name) pairs flushed once per step.
+# Stats counters tallied in locals and bumped once per step, in this
+# order.
 _COUNTERS = (
-    ("c_routed", "wormhole.headers_routed"),
-    ("c_va_stall", "wormhole.va_stall"),
-    ("c_eject_stall", "wormhole.eject_vc_stall"),
-    ("c_credit_stall", "wormhole.credit_stall"),
-    ("c_moved", "wormhole.flits_moved"),
-    ("c_ejected", "wormhole.flits_ejected"),
-    ("c_dropped", "wormhole.flits_dropped"),
-    ("c_poisoned", "wormhole.worms_poisoned"),
+    "wormhole.headers_routed",
+    "wormhole.va_stall",
+    "wormhole.eject_vc_stall",
+    "wormhole.credit_stall",
+    "wormhole.flits_moved",
+    "wormhole.flits_ejected",
+    "wormhole.flits_dropped",
+    "wormhole.worms_poisoned",
 )
 
 
@@ -75,7 +78,7 @@ class VectorizedCore:
         self.P = P = topo.num_ports
         self.W = W = cfg.vcs
         self.PI = PI = P + 1  # physical input ports + injection port
-        self.M = PI * W  # round-robin modulus, matches the object core
+        self.M = PI * W  # round-robin modulus, as in the router objects
         self.delay = cfg.router_delay
         self.max_credits = cfg.buffer_depth
         self.routing = routers[0].routing
@@ -89,6 +92,12 @@ class VectorizedCore:
 
         n_ivc = N * PI * W
         n_ovc = N * P * W
+        # The channel objects in flat-index order (row-major per router,
+        # which is exactly the global numbering), and each input VC's
+        # router-local (port, vc) key: the sync loops walk these.
+        self.ivcs = [ivc for r in routers for row in r.inputs for ivc in row]
+        self.ovcs = [out for r in routers for row in r.outputs for out in row]
+        self.ivc_key = [(ivc.port, ivc.vc) for ivc in self.ivcs]
         # Shared-by-reference views (refreshed on attach).
         self.buf: list = [None] * n_ivc
         self.act: list = [r._active for r in routers]
@@ -151,46 +160,44 @@ class VectorizedCore:
         # ``owner[o]`` already names the one input VC to wake then.
         self.cstalled = [False] * n_ivc
         self.attached = False
-        for name, _ in _COUNTERS:
-            setattr(self, name, 0)
+        # True while the router objects hold what the arrays hold.
+        self.synced = False
 
     # -- attach / detach -------------------------------------------------
 
     def attach(self) -> None:
         """Copy router-object scalar state into the flat arrays."""
         W = self.W
-        routers = self.network.routers
-        route_port, route_vc, msg = self.route_port, self.route_vc, self.msg
-        route_ovc = self.route_ovc
-        for node, router in enumerate(routers):
-            bi = self.base_in[node]
-            bo_node = self.base_out[node]
-            for row in router.inputs:
-                for ivc in row:
-                    i = bi + ivc.port * W + ivc.vc
-                    self.buf[i] = ivc.buffer
-                    if ivc.route is None:
-                        route_port[i] = UNROUTED
-                        route_ovc[i] = -1
-                        msg[i] = -1
-                    else:
-                        route_port[i], route_vc[i] = ivc.route
-                        route_ovc[i] = (
-                            bo_node + route_port[i] * W + route_vc[i]
-                            if route_port[i] >= 0 else -1
-                        )
-                        msg[i] = ivc.msg
-            bo = self.base_out[node]
-            for row in router.outputs:
-                for out in row:
-                    o = bo + out.port * W + out.vc
-                    self.credits[o] = out.credits
-                    if out.owner is None:
-                        self.owner[o] = -1
-                    else:
-                        self.owner[o] = bi + out.owner[0] * W + out.owner[1]
-            for ev in range(W):
-                key = router.eject_owner[ev]
+        PIW = self.PI * W
+        PW = self.P * W
+        base_in = self.base_in
+        buf, msg = self.buf, self.msg
+        route_port, route_vc, route_ovc = (
+            self.route_port, self.route_vc, self.route_ovc
+        )
+        for i, ivc in enumerate(self.ivcs):
+            buf[i] = ivc.buffer
+            route = ivc.route
+            if route is None:
+                route_port[i] = UNROUTED
+                route_ovc[i] = -1
+                msg[i] = -1
+            else:
+                rp, rv = route
+                route_port[i] = rp
+                route_vc[i] = rv
+                route_ovc[i] = (i // PIW) * PW + rp * W + rv if rp >= 0 else -1
+                msg[i] = ivc.msg
+        credits, owner = self.credits, self.owner
+        for o, out in enumerate(self.ovcs):
+            credits[o] = out.credits
+            own = out.owner
+            owner[o] = (
+                -1 if own is None else base_in[o // PW] + own[0] * W + own[1]
+            )
+        for node, router in enumerate(self.network.routers):
+            bi = base_in[node]
+            for ev, key in enumerate(router.eject_owner):
                 self.eject_owner[node * W + ev] = (
                     -1 if key is None else bi + key[0] * W + key[1]
                 )
@@ -205,38 +212,37 @@ class VectorizedCore:
         for w in self.eject_watch:
             w.clear()
         self.attached = True
+        self.synced = True
 
     def materialize(self) -> None:
         """Write the arrays back into the router objects, staying
-        attached (the arrays remain authoritative)."""
+        attached (the arrays remain authoritative).  A no-op when no
+        :meth:`step` ran since the last sync, so several readers on one
+        cycle pay for one write-back."""
+        if self.synced:
+            return
+        self.synced = True
         W = self.W
-        route_port, route_vc, msg = self.route_port, self.route_vc, self.msg
+        keys = self.ivc_key
+        for ivc, rp, rv, m in zip(
+            self.ivcs, self.route_port, self.route_vc, self.msg
+        ):
+            if rp == UNROUTED:
+                ivc.route = None
+                ivc.msg = None
+            else:
+                ivc.route = (rp, rv)
+                ivc.msg = m
+        for out, c, own in zip(self.ovcs, self.credits, self.owner):
+            out.credits = c
+            out.owner = None if own < 0 else keys[own]
+        eject_owner = self.eject_owner
         for node, router in enumerate(self.network.routers):
-            bi = self.base_in[node]
-            for row in router.inputs:
-                for ivc in row:
-                    i = bi + ivc.port * W + ivc.vc
-                    if route_port[i] == UNROUTED:
-                        ivc.route = None
-                        ivc.msg = None
-                    else:
-                        ivc.route = (route_port[i], route_vc[i])
-                        ivc.msg = msg[i]
-            bo = self.base_out[node]
-            for row in router.outputs:
-                for out in row:
-                    o = bo + out.port * W + out.vc
-                    out.credits = self.credits[o]
-                    own = self.owner[o]
-                    out.owner = (
-                        None if own < 0
-                        else ((own - bi) // W, (own - bi) % W)
-                    )
-            for ev in range(W):
-                own = self.eject_owner[node * W + ev]
-                router.eject_owner[ev] = (
-                    None if own < 0 else ((own - bi) // W, (own - bi) % W)
-                )
+            eb = node * W
+            router.eject_owner[:] = [
+                None if own < 0 else keys[own]
+                for own in eject_owner[eb:eb + W]
+            ]
             router._va_rr = self.va_rr[node]
 
     def detach(self) -> None:
@@ -262,8 +268,9 @@ class VectorizedCore:
         drop sink only records the loss centrally), and the traversal
         gather does not mutate them either -- removals happen in the
         arbitration loop after the gather is complete.  The iteration
-        order is exactly the object core's.
+        order is exactly the reference router phases'.
         """
+        self.synced = False
         work = 0
         W = self.W
         P = self.P
@@ -304,7 +311,7 @@ class VectorizedCore:
         logs = self.logs
         EJ = EJECT_PORT
         c_routed = c_va = c_ej_stall = c_cred = 0
-        c_moved = c_ejected = c_poisoned = 0
+        c_moved = c_ejected = c_dropped = c_poisoned = 0
         try:
             # -- RC/VA over every active router ------------------------
             for node in order:
@@ -426,6 +433,7 @@ class VectorizedCore:
                 if faults is not None:
                     dropped, used = self._drain_poisoned(node, cycle)
                     work += dropped
+                    c_dropped += dropped
                     if not act:
                         continue
                 bi = base_in[node]
@@ -462,7 +470,7 @@ class VectorizedCore:
                     if len(reqs) == 1:
                         # Lone requester: wins outright; the rotation
                         # pointer is still advanced past it, exactly as
-                        # the object core does.
+                        # the reference router phase does.
                         key, i = reqs[0]
                         if used >> key[0] & 1:
                             continue
@@ -470,7 +478,7 @@ class VectorizedCore:
                         # Round-robin winner: nearest local VC index at
                         # or after the pointer.  Distances are unique,
                         # so no sort is needed to match min() over the
-                        # object core's sorted request list.
+                        # reference router phase's sorted request list.
                         ptr = rr.get(rp, 0)
                         best_d = M
                         key = None
@@ -559,24 +567,15 @@ class VectorizedCore:
                             w.clear()
         finally:
             # On the ProtocolError path the partial tallies still reach
-            # the per-step flush.
-            self.c_routed += c_routed
-            self.c_va_stall += c_va
-            self.c_eject_stall += c_ej_stall
-            self.c_credit_stall += c_cred
-            self.c_moved += c_moved
-            self.c_ejected += c_ejected
-            self.c_poisoned += c_poisoned
-            self._flush_counters()
+            # the stats.
+            bump = self.stats.bump
+            for name, n in zip(_COUNTERS, (
+                c_routed, c_va, c_ej_stall, c_cred, c_moved, c_ejected,
+                c_dropped, c_poisoned,
+            )):
+                if n:
+                    bump(name, n)
         return work
-
-    def _flush_counters(self) -> None:
-        bump = self.stats.bump
-        for name, counter in _COUNTERS:
-            n = getattr(self, name)
-            if n:
-                bump(counter, n)
-                setattr(self, name, 0)
 
     def _all_routes_faulty(self, node: int, tiers) -> bool:
         faults = self.faults
@@ -627,7 +626,6 @@ class VectorizedCore:
                         self.cstalled[own] = False
             else:
                 self.active_nis.add(node)
-            self.c_dropped += 1
             if f.is_tail:
                 self.route_port[i] = UNROUTED
                 self.msg[i] = -1

@@ -22,12 +22,13 @@ runs too.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.analysis import experiments as _experiments
-from repro.errors import ConfigError
+from repro.errors import BackendDivergence, ConfigError
 from repro.network.network import Network
 from repro.observe.metrics import NetworkSampler
 from repro.orchestrate.recipes import build_workload
@@ -154,9 +155,58 @@ def prepare_job(spec: JobSpec, *, faults: FaultSet | None = None) -> PreparedJob
 
 
 def execute_job(spec: JobSpec) -> dict:
-    """Run one spec to completion and return its metrics dict."""
+    """Run one spec to completion and return its metrics dict.
+
+    A spec with ``invariants_every`` set (every fuzz scenario) is also a
+    differential test: unless it already names ``reference``, the same
+    spec runs again on ``Network.step_reference`` and every observable
+    -- the metrics dict (final cycle and stats counters included) and
+    the work counter -- must be equal, else :class:`BackendDivergence`
+    names the first key that differs.  The second run happens inside the
+    job because ``JobSpec.key()`` excludes ``backend``: a separate
+    reference job would be a cache hit on this one.
+
+    Both cores drive the same wave plane, so a bug inside the plane
+    cannot show up here; the plane goldens
+    (``tests/corpus/plane_goldens.json``) cover that.
+    """
     job = prepare_job(spec)
-    return job.metrics(job.run())
+    metrics = job.metrics(job.run())
+    backend = spec.config.backend
+    if spec.invariants_every and backend != "reference":
+        ref = prepare_job(dataclasses.replace(
+            spec, config=dataclasses.replace(spec.config, backend="reference")
+        ))
+        expected = ref.metrics(ref.run())
+        where = first_difference(
+            {**metrics, "work_counter": job.network.work_counter},
+            {**expected, "work_counter": ref.network.work_counter},
+        )
+        if where is not None:
+            key, got, want = where
+            raise BackendDivergence(
+                f"{key} is {got!r} on {backend} but {want!r} on reference"
+            )
+    return metrics
+
+
+def first_difference(got: dict, want: dict, prefix: str = ""):
+    """``(dotted key, got, want)`` for the first (in sorted key order)
+    leaf where two nested dicts differ, or None when they are equal.
+
+    Leaves compare by ``repr``: floats round-trip exactly through it, and
+    a NaN latency equals itself.
+    """
+    missing = "<missing>"
+    for key in sorted(set(got) | set(want), key=str):
+        a, b = got.get(key, missing), want.get(key, missing)
+        if isinstance(a, dict) and isinstance(b, dict):
+            found = first_difference(a, b, f"{prefix}{key}.")
+            if found is not None:
+                return found
+        elif repr(a) != repr(b):
+            return f"{prefix}{key}", a, b
+    return None
 
 
 def result_to_metrics(result) -> dict:

@@ -27,11 +27,12 @@ TopologyName = Literal["mesh", "torus", "hypercube", "fullmesh", "min"]
 RoutingName = Literal["dor", "adaptive"]
 ReplacementPolicyName = Literal["lru", "lfu", "fifo", "random"]
 ProtocolName = Literal["clrp", "carp", "wormhole"]
-# Stepping-core implementations (all bit-identical; see DESIGN.md §9):
-#   reference  -- the original O(num_nodes) loop, the executable spec;
-#   active     -- active-set registries, O(active components) per cycle;
-#   vectorized -- struct-of-arrays wormhole data path over flat channel
-#                 state, batched per cycle.
+# Stepping cores (bit-identical; see DESIGN.md §9):
+#   reference           -- the original O(num_nodes) loop, the executable
+#                          spec;
+#   active / vectorized -- two names for the fast core: active-set
+#                          registries plus a struct-of-arrays wormhole
+#                          data path over flat channel state.
 BackendName = Literal["active", "reference", "vectorized"]
 # Section 3.1's simplification menu for CLRP:
 #   standard        -- phase 1 tries all k switches, then phase 2 all k;
@@ -275,13 +276,14 @@ class NetworkConfig:
             the raw protocol behaviour.
         seed: master RNG seed -- every stochastic decision in a run derives
             from it, making runs exactly reproducible.
-        backend: stepping-core implementation ``Network.step`` binds to.
-            All three produce bit-identical results (enforced by
-            ``tests/integration/test_cycle_exact.py``); they differ only
-            in wall-clock speed.  ``"active"`` (default) steps registered
-            components only; ``"vectorized"`` additionally runs the
-            wormhole data path over struct-of-arrays channel state;
-            ``"reference"`` is the plain O(num_nodes) executable spec.
+        backend: stepping core ``Network.step`` binds to.  There are
+            two, bit-identical on every observable (enforced by
+            ``tests/integration/test_cycle_exact.py`` and the fuzzer's
+            differential oracle): ``"active"`` (default) and
+            ``"vectorized"`` both name the fast core -- registered
+            components only, wormhole data path over struct-of-arrays
+            channel state; ``"reference"`` is the plain O(num_nodes)
+            executable spec over the router objects.
     """
 
     topology: TopologyName = "mesh"

@@ -64,7 +64,10 @@ class Simulator:
             outstanding.  This is the executable form of "every message
             reaches its destination in finite time".
         on_cycle: optional callback invoked after every simulated cycle,
-            for custom probes in tests and benches.
+            for custom probes in tests and benches.  A probe reading
+            per-router routing/credit state calls
+            ``network.materialize_views()`` first, as the verify readers
+            do.
         sampler: optional metric sampler (duck-typed to
             :class:`~repro.observe.metrics.NetworkSampler`): after each
             stepped cycle ``sampler.maybe_sample(net)`` runs, and idle
@@ -220,12 +223,6 @@ class Simulator:
             if self.progress_timeout:
                 self._check_progress()
             if self.on_cycle is not None:
-                # Probes may read per-router state directly; give the
-                # vectorized backend a chance to refresh the object views
-                # first.  getattr: engine tests drive stub networks.
-                materialize = getattr(net, "materialize_views", None)
-                if materialize is not None:
-                    materialize()
                 self.on_cycle(net)
         else:
             # Deadline hit; a fully drained idle network still counts done.

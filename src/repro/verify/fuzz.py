@@ -21,6 +21,13 @@ explores the protocol state space mechanically:
   injected message must be delivered, dropped-with-reason, lost to a
   recorded fault, or a recorded delivery failure -- never silently gone.
 
+* Every scenario is differential: specs carry ``invariants_every``, so
+  :func:`~repro.orchestrate.runner.execute_job` runs each one on the
+  fast stepping core and again on ``step_reference`` and raises
+  :class:`~repro.errors.BackendDivergence` on the first observable that
+  differs.  A wave-plane bug moves both runs alike and is not caught
+  this way; the plane goldens are its guard.
+
 * :func:`shrink` reduces a failing spec to a minimal reproducer by a
   greedy fixpoint over structural shrinking transformations (less
   traffic, smaller machine, fewer resources), accepting a candidate only

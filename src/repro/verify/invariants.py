@@ -142,31 +142,28 @@ def check_cache_coherence(network: "Network") -> None:
 
 
 def check_credit_sanity(network: "Network") -> None:
+    network.materialize_views()
     depth = network.config.wormhole.buffer_depth
     for router in network.routers:
-        for port_vcs in router.outputs:
-            for out in port_vcs:
+        for out_vcs, down in zip(router.outputs, router.downstream):
+            for out in out_vcs:
                 if not 0 <= out.credits <= out.max_credits:
                     raise ProtocolError(
                         f"node {router.node}: credits {out.credits} out of "
                         f"range on output ({out.port},{out.vc})"
                     )
-        down_checked = set()
-        for port, down in enumerate(router.downstream):
             if down is None:
                 continue
             d_router, d_port = down
-            for vc in range(router.config.vcs):
-                out = router.outputs[port][vc]
-                occupancy = d_router.inputs[d_port][vc].occupancy()
+            for out, ivc in zip(out_vcs, d_router.inputs[d_port]):
+                occupancy = len(ivc.buffer)
                 if out.credits + occupancy != depth:
                     raise ProtocolError(
                         f"credit/occupancy mismatch {router.node}->"
-                        f"{d_router.node} port {port} vc {vc}: "
+                        f"{d_router.node} port {out.port} vc {out.vc}: "
                         f"{out.credits} credits + {occupancy} buffered != "
                         f"{depth}"
                     )
-            down_checked.add(port)
 
 
 def teardown_latency(network: "Network") -> int:

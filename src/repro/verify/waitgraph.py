@@ -69,6 +69,7 @@ def _owner_msg(router, owner: tuple[int, int] | None) -> int | None:
 
 def build_wait_graph(network: "Network") -> WaitGraph:
     """Snapshot the wormhole plane's wait-for relationships."""
+    network.materialize_views()
     graph = WaitGraph()
     # Foremost site per worm: the occupied input VC whose *head* flit has
     # the worm's smallest flit index.

@@ -20,8 +20,10 @@ Timing: a flit enqueued at cycle ``t`` may move again at ``t + 1``
 ``t + router_delay`` on, so ``router_delay > 1`` charges extra per-hop
 latency to headers only.
 
-Sharing contract with the vectorized backend
-(:class:`~repro.network.vectorized.VectorizedCore`): the flit deques,
+:meth:`WormholeRouter.route_phase` / :meth:`~WormholeRouter.traversal_phase`
+are the executable spec: only ``Network.step_reference`` runs them.  The
+production core is :class:`~repro.network.vectorized.VectorizedCore`,
+which shares this router's state under a contract: the flit deques,
 ``_active`` sets, ``_rr`` dicts and ``link_flits`` lists are held by the
 core *by reference* and must keep their identity (mutate in place, never
 rebind); the scalar route/credit/ownership state (``InputVC.route``/
@@ -32,7 +34,7 @@ is core-owned while attached and written back on detach/materialize.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.errors import ProtocolError
 from repro.sim.config import WormholeConfig
@@ -42,9 +44,6 @@ from repro.topology.base import Topology
 from repro.topology.faults import FaultSet
 from repro.wormhole.flit import DROP_PORT, EJECT_PORT, Flit
 from repro.wormhole.routing import RoutingFunction
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 
 class InputVC:

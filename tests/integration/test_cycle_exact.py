@@ -1,21 +1,22 @@
-"""Cycle-exactness of the active-set and vectorized stepping cores.
+"""Cycle-exactness of the fast stepping core.
 
-``Network.step`` (active sets + O(1) idleness), the struct-of-arrays
-``step_vectorized`` core and ``Simulator``'s idle fast-forward are pure
+``Network.step`` (active sets, O(1) idleness and the struct-of-arrays
+wormhole core) and ``Simulator``'s idle fast-forward are pure
 performance work: for any seed and workload they must produce
 *bit-identical* results to ``Network.step_reference`` (the original
-O(num_nodes) loop) driven without fast-forward.  These tests run every
-backend over the same configurations -- all three protocols, mesh and
-torus, with a bursty workload full of idle gaps (the fast-forward path's
-favourite food) -- and compare every observable: counters, per-message
-records, mode breakdown, final cycle and work counter.  A fault +
-reliability scenario and the fuzzer's corpus reproducers repeat the
-comparison with the recovery machinery engaged.
+O(num_nodes) loop) driven without fast-forward.  These tests run the
+default backend over the same configurations as the reference -- all
+three protocols, mesh, torus, fullmesh and MIN, with a bursty workload
+full of idle gaps (the fast-forward path's favourite food) -- and
+compare every observable: counters, per-message records, mode
+breakdown, final cycle and work counter.  A fault + reliability
+scenario and the fuzzer's corpus reproducers repeat the comparison with
+the recovery machinery engaged.  ``vectorized`` is another name for the
+same core (``test_backend_names_bind_two_cores``).
 
-Separate runs per configuration step with the registry validator
-attached, asserting the ActivityTracker invariants (and, with the
-vectorized backend, the flat-array mirrors) against the O(N) ground
-truth on every cycle.
+Separate runs per configuration step with the registry validator and
+the core's flat-array drift check attached, asserting both against the
+O(N) ground truth on every cycle.
 """
 
 import dataclasses
@@ -34,6 +35,7 @@ from repro.sim.config import (
     WormholeConfig,
 )
 from repro.sim.engine import Simulator
+from repro.sim.events import EventKind, EventLog
 from repro.sim.rng import SimRandom
 from repro.topology import build_topology
 from repro.topology.faults import FaultSchedule, derive_fault_rng
@@ -42,7 +44,7 @@ from repro.verify.fuzz import load_spec
 
 MAX_CYCLES = 60_000
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-BACKENDS = ["active", "vectorized"]
+BACKENDS = ["active"]
 
 
 def make_config(protocol: str, topology: str, dims: tuple) -> NetworkConfig:
@@ -164,28 +166,29 @@ def test_backend_matches_reference(protocol, topology, dims, backend):
     )
 
 
+def validate_every_structure(net: Network) -> None:
+    net.activity.validate(net)
+    if net._core is not None and net._core.attached:
+        net._core.validate(net)
+
+
 @pytest.mark.parametrize(
-    "protocol,topology,dims,backend",
-    [("wormhole", "mesh", (4, 4), "active"),
-     ("wormhole", "mesh", (4, 4), "vectorized"),
-     ("clrp", "mesh", (4, 4), "active"),
-     ("clrp", "mesh", (4, 4), "vectorized"),
-     ("carp", "torus", (3, 3), "active"),
-     ("carp", "torus", (3, 3), "vectorized")],
+    "protocol,topology,dims",
+    [("wormhole", "mesh", (4, 4)),
+     ("clrp", "mesh", (4, 4)),
+     ("carp", "torus", (3, 3))],
 )
-def test_activity_tracker_invariants_hold_every_cycle(
-    protocol, topology, dims, backend
-):
-    # on_cycle disables fast-forward, so the validator sees every cycle.
-    # With the vectorized backend, ActivityTracker.validate also asserts
-    # the core's struct-of-arrays state against the per-object ground
-    # truth, so this doubles as the SoA drift check.
+def test_activity_tracker_invariants_hold_every_cycle(protocol, topology, dims):
+    # on_cycle disables fast-forward, so the validators see every cycle:
+    # the ActivityTracker registries and the core's struct-of-arrays
+    # state, both against the ground truth a full scan reconstructs.
     net, _result = run_one(
         protocol, topology, dims,
-        backend=backend,
-        on_cycle=lambda n: n.activity.validate(n),
+        backend="active",
+        on_cycle=validate_every_structure,
     )
-    net.activity.validate(net)
+    assert net._core is not None
+    validate_every_structure(net)
 
 
 # -- faults + reliability ---------------------------------------------------
@@ -246,9 +249,60 @@ def test_corpus_reproducers_match_across_backends(spec_name):
             )
         )
 
-    ref = metrics("reference")
-    assert metrics("active") == ref
-    assert metrics("vectorized") == ref
+    assert metrics("active") == metrics("reference")
+
+
+def test_backend_names_bind_two_cores():
+    """``active`` and ``vectorized`` name one core, built on first use;
+    ``reference`` binds the executable spec."""
+    base = make_config("wormhole", "mesh", (4, 4))
+    nets = {
+        b: Network(dataclasses.replace(base, backend=b))
+        for b in ("active", "vectorized", "reference")
+    }
+    assert nets["active"].step.__func__ is Network.step
+    assert nets["vectorized"].step.__func__ is Network.step
+    assert nets["reference"].step.__func__ is Network.step_reference
+    assert all(net._core is None for net in nets.values())
+
+
+# -- event traces -----------------------------------------------------------
+
+
+TRACE_CONFIGS = {
+    "wormhole-adaptive": NetworkConfig(
+        topology="mesh", dims=(4, 4), protocol="wormhole", wave=None,
+        wormhole=WormholeConfig(vcs=2, routing="adaptive", buffer_depth=2),
+        seed=5,
+    ),
+    "clrp": make_config("clrp", "mesh", (4, 4)),
+}
+
+
+def traced_events(config: NetworkConfig, backend: str) -> list:
+    """Events of one run whose event log is attached mid-run, after the
+    fast core is built and attached."""
+    net = Network(dataclasses.replace(config, backend=backend))
+    items = bursty_workload(config.protocol, config.num_nodes, wl_seed=3)
+    sim = Simulator(net, items, progress_timeout=20_000,
+                    fast_forward=backend != "reference")
+    sim.run(150)
+    if backend != "reference":
+        assert net._core is not None and net._core.attached
+    log = EventLog()
+    net.attach_event_log(log)
+    assert sim.run(MAX_CYCLES).completed
+    return log.events
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_CONFIGS))
+def test_event_stream_matches_reference(name):
+    config = TRACE_CONFIGS[name]
+    events = traced_events(config, "active")
+    kinds = {e.kind for e in events}
+    assert EventKind.WORM_HEAD_ADVANCE in kinds
+    assert EventKind.WORM_TAIL_ADVANCE in kinds
+    assert events == traced_events(config, "reference")
 
 
 def test_fast_forward_skips_idle_gaps():

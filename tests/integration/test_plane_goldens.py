@@ -1,9 +1,11 @@
 """Golden differential for the wave plane across implementation changes.
 
-``Network.step``, ``step_vectorized`` and ``step_reference`` all drive
-the same :class:`~repro.circuits.plane.WavePlane`, so the cycle-exact
-tests (backend vs backend) cannot see a regression *inside* the plane:
-all three would move together.  This file pins the plane's simulated
+``Network.step`` (the fast core, backends ``active`` and ``vectorized``)
+and ``step_reference`` drive the same
+:class:`~repro.circuits.plane.WavePlane`, so the cycle-exact tests and
+the fuzzer's differential oracle (core vs reference) cannot see a
+regression *inside* the plane: both would move together.  This file
+pins the plane's simulated
 behaviour against ``tests/corpus/plane_goldens.json``, which was written
 by running this file as a script **at commit c8c0f5a**, the last one
 whose plane stepped every transfer with ``WaveTransfer.advance()`` each

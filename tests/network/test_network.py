@@ -145,3 +145,22 @@ class TestWorkCounter:
         net.run(50)
         assert net.work_counter == 0
         assert net.is_idle()
+
+
+class TestRouterViews:
+    def test_written_back_once_per_stepped_cycle(self):
+        """Several readers on one cycle pay for one write-back: a view
+        edited after a refresh survives the next refresh, and is
+        overwritten from the core's arrays once a step has run."""
+        net = Network(NetworkConfig(dims=(3, 3), protocol="wormhole", wave=None))
+        net.inject(MessageFactory().make(0, 8, 10, 0))
+        net.run(5)
+        assert net._core is not None and not net._core.synced
+        net.materialize_views()
+        out = net.routers[4].outputs[0][0]
+        out.credits = 99
+        net.materialize_views()
+        assert out.credits == 99
+        net.step()
+        net.materialize_views()
+        assert out.credits == net.config.wormhole.buffer_depth

@@ -132,6 +132,18 @@ class TestMonitors:
                   on_cycle=lambda n: seen.append(n.cycle)).run(100)
         assert seen == list(range(1, net.cycle + 1))
 
+    def test_router_views_refreshed_once_per_run_not_per_cycle(self):
+        # Readers of router state refresh it themselves; the loop only
+        # leaves the views fresh for post-run inspection.
+        net = StubNetwork(drain_lag=40)
+        refreshes = []
+        net.materialize_views = lambda: refreshes.append(net.cycle)
+        seen = []
+        Simulator(net, [StubItem(0)],
+                  on_cycle=lambda n: seen.append(n.cycle)).run(100)
+        assert len(seen) == 40
+        assert refreshes == [net.cycle]
+
 
 class TestResultShape:
     def test_summary_mentions_state(self):

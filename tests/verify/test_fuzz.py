@@ -7,6 +7,7 @@ bug is re-introduced by a targeted mutation -- proving the fuzzer's
 invariant harness would have caught both.
 """
 
+import dataclasses
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,9 +15,16 @@ import json
 import pytest
 
 from repro.core.clrp import CLRPEngine
-from repro.errors import ConfigError, DeadlockError, ProtocolError
+from repro.errors import (
+    BackendDivergence,
+    ConfigError,
+    DeadlockError,
+    ProtocolError,
+)
 from repro.network.network import Network
-from repro.orchestrate.runner import execute_job
+from repro.network.vectorized import VectorizedCore
+from repro.orchestrate import runner
+from repro.orchestrate.runner import execute_job, first_difference
 from repro.orchestrate.spec import JobSpec
 from repro.sim.config import NetworkConfig
 from repro.sim.stats import MessageRecord
@@ -53,6 +61,27 @@ def prefix_open_entry(monkeypatch):
             entry.switches_tried = 0
 
     monkeypatch.setattr(CLRPEngine, "_open_entry", buggy)
+
+
+@pytest.fixture
+def late_round_robin(monkeypatch):
+    """Seed a fast-core bug the harness cannot see: every round-robin
+    pointer the core moves lands one slot late, so a contended output
+    grants the wrong input VC.  Arbitration stays legal; only timing
+    differs from ``step_reference``."""
+    orig = VectorizedCore.step
+
+    def buggy(self, cycle, order):
+        before = [dict(self.rr[node]) for node in order]
+        work = orig(self, cycle, order)
+        for node, old in zip(order, before):
+            rr = self.rr[node]
+            for port, ptr in rr.items():
+                if old.get(port) != ptr:
+                    rr[port] = (ptr + 1) % self.M
+        return work
+
+    monkeypatch.setattr(VectorizedCore, "step", buggy)
 
 
 def _rearmost_wait_graph(network):
@@ -459,6 +488,68 @@ class TestCampaign:
     def test_bad_budget_rejected(self):
         with pytest.raises(ConfigError):
             fuzz_campaign(0)
+
+
+class TestDifferentialOracle:
+    # Scenario 2 of seed 0 is a CLRP torus whose wormhole traffic
+    # contends for outputs, so arbitration order shows in its counters.
+    MUTANT_VISIBLE = 2
+
+    def test_harness_alone_misses_the_core_mutant(self, late_round_robin):
+        spec = generate_spec(self.MUTANT_VISIBLE, master_seed=0)
+        job = runner.prepare_job(spec)
+        job.run()  # every structural check passes on the mutant
+
+    def test_execute_job_names_the_first_divergence(self, late_round_robin):
+        spec = generate_spec(self.MUTANT_VISIBLE, master_seed=0)
+        with pytest.raises(
+            BackendDivergence,
+            match=r"^counters\.wormhole\.\w+ is \d+ on active but \d+ on "
+                  r"reference$",
+        ):
+            execute_job(spec)
+
+    def test_campaign_catches_and_shrinks_core_mutant(self, late_round_robin):
+        report = fuzz_campaign(self.MUTANT_VISIBLE + 1, master_seed=0)
+        [failure] = report.failures
+        assert failure.index == self.MUTANT_VISIBLE
+        assert failure.signature == "BackendDivergence"
+        assert failure.shrunk.signature == "BackendDivergence"
+        assert failure.shrunk.steps > 0
+        assert failure_signature(failure.reproducer) == "BackendDivergence"
+
+    @pytest.mark.parametrize(
+        "backend,invariants_every,runs",
+        [("active", 2, 2), ("vectorized", 2, 2), ("reference", 2, 1),
+         ("active", 0, 1)],
+    )
+    def test_reference_reruns_only_harnessed_fast_specs(
+        self, monkeypatch, backend, invariants_every, runs
+    ):
+        built = []
+        prepare = runner.prepare_job
+
+        def counting(spec, **kwargs):
+            built.append(spec.config.backend)
+            return prepare(spec, **kwargs)
+
+        monkeypatch.setattr(runner, "prepare_job", counting)
+        spec = generate_spec(0, master_seed=0)
+        execute_job(dataclasses.replace(
+            spec,
+            config=dataclasses.replace(spec.config, backend=backend),
+            invariants_every=invariants_every,
+        ))
+        assert built == [backend, "reference"][:runs]
+
+    def test_first_difference(self):
+        a = {"cycles": 9, "counters": {"x": 1, "y": 2}, "lat": float("nan")}
+        assert first_difference(a, dict(a)) is None
+        b = {**a, "counters": {"x": 1, "y": 3}}
+        assert first_difference(a, b) == ("counters.y", 2, 3)
+        c = {**a, "counters": {"x": 1}}
+        assert first_difference(a, c) == ("counters.y", 2, "<missing>")
+        assert first_difference({"w": 0.0}, {"w": -0.0}) == ("w", 0.0, -0.0)
 
 
 class TestSpecKeyStability:

@@ -5,6 +5,7 @@ import pytest
 from repro.network.message import MessageFactory
 from repro.network.network import Network
 from repro.sim.config import NetworkConfig, WormholeConfig
+from repro.verify.invariants import check_credit_sanity
 from repro.verify.waitgraph import build_wait_graph
 from repro.wormhole.flit import make_worm
 
@@ -87,6 +88,37 @@ class TestNoCreditAttribution:
         graph = build_wait_graph(net)
         for entry in graph.entries.values():
             assert entry.free or entry.blockers
+
+
+class TestReadsFreshState:
+    def test_same_graph_on_both_cores_every_cycle(self):
+        """The readers refresh the fast core's router views themselves:
+        stepped without a Simulator, its wait graph and credit audit
+        match the reference loop's cycle for cycle."""
+        nets = []
+        for backend in ("active", "reference"):
+            config = NetworkConfig(
+                dims=(3, 3), protocol="wormhole", wave=None,
+                wormhole=WormholeConfig(vcs=1, buffer_depth=1),
+                backend=backend,
+            )
+            net, factory = Network(config), MessageFactory()
+            for src, dst in [(0, 8), (8, 0), (2, 6), (6, 2), (3, 5), (4, 0)]:
+                net.inject(factory.make(src, dst, 10, 0))
+            nets.append(net)
+        saw_blocked = False
+        for _ in range(200):
+            graphs = []
+            for net in nets:
+                net.step()
+                check_credit_sanity(net)
+                graphs.append(build_wait_graph(net).entries)
+            assert graphs[0] == graphs[1]
+            saw_blocked |= any(e.blockers for e in graphs[0].values())
+            if all(net.is_idle() for net in nets):
+                break
+        assert saw_blocked
+        assert all(net.is_idle() for net in nets)
 
 
 class TestEjectWait:
