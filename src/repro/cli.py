@@ -536,25 +536,27 @@ def cmd_submit(args: argparse.Namespace) -> int:
         document = _json.loads(Path(args.campaign).read_text(encoding="utf-8"))
     except (OSError, _json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read campaign {args.campaign}: {exc}")
-    session = Session(args.url, tenant=args.tenant)
-    campaign = session.submit_campaign(
-        document, priority=args.priority
-    )
-    logger.info("campaign %s (%s): %d job(s) submitted to %s",
-                campaign.id, campaign.name, campaign.data["jobs"], args.url)
-    if not args.follow:
-        print(f"{campaign.id} {campaign.name}: {campaign.data['jobs']} "
-              f"job(s) submitted")
-        return 0
-    for event in campaign.stream():
-        if event.terminal:
-            break
-        state = "cached" if event.from_cache else event.status
-        logger.info("%s %s (%.1fs)", state, event.label, event.elapsed_s)
-    campaign.refresh()
+    with Session(args.url, tenant=args.tenant) as session:
+        campaign = session.submit_campaign(
+            document, priority=args.priority
+        )
+        logger.info("campaign %s (%s): %d job(s) submitted to %s",
+                    campaign.id, campaign.name, campaign.data["jobs"],
+                    args.url)
+        if not args.follow:
+            print(f"{campaign.id} {campaign.name}: {campaign.data['jobs']} "
+                  f"job(s) submitted")
+            return 0
+        for event in campaign.stream():
+            if event.terminal:
+                break
+            state = "cached" if event.from_cache else event.status
+            logger.info("%s %s (%.1fs)", state, event.label, event.elapsed_s)
+        campaign.refresh()
+        jobs = campaign.jobs.all()
     rows = []
     failures = 0
-    for job in campaign.jobs:
+    for job in jobs:
         m = job.metrics
         if job.status in ("ok", "cached") and m is not None:
             rows.append(
@@ -580,36 +582,37 @@ def cmd_jobs(args: argparse.Namespace) -> int:
     """Query campaigns/jobs on a running server."""
     from repro.client import Session
 
-    session = Session(args.url, tenant=args.tenant)
-    if not args.campaign and not args.status and not args.all_jobs:
+    with Session(args.url, tenant=args.tenant) as session:
+        if not args.campaign and not args.status and not args.all_jobs:
+            rows = [
+                (c.id, c.name, c.data["tenant"], c.status,
+                 c.counts.get("ok", 0) + c.counts.get("cached", 0),
+                 c.data["jobs"])
+                for c in session.campaigns()
+            ]
+            print(format_table(
+                ["id", "name", "tenant", "status", "done", "jobs"], rows
+            ))
+            stats = session.store_stats()
+            print(f"\nserver: {stats['executed']} executed, "
+                  f"{stats['cache_hits']} cache hits, "
+                  f"{stats['coalesced']} coalesced, "
+                  f"{stats['pending']} pending "
+                  f"({stats['store']['backend']} store, "
+                  f"{stats['store']['records']} records)")
+            return 0
+        jobs = session.jobs
+        if args.campaign:
+            campaign = session.get_campaign(args.campaign)
+            jobs = campaign.jobs
+        if args.status:
+            jobs = jobs.filter(status=args.status)
         rows = [
-            (c.id, c.name, c.data["tenant"], c.status,
-             c.counts.get("ok", 0) + c.counts.get("cached", 0),
-             c.data["jobs"])
-            for c in session.campaigns()
+            (j.id, j.label, j.data["tenant"], j.status,
+             f"{j.data['elapsed_s']:.2f}s" if j.data.get("elapsed_s")
+             else "-")
+            for j in jobs
         ]
-        print(format_table(
-            ["id", "name", "tenant", "status", "done", "jobs"], rows
-        ))
-        stats = session.store_stats()
-        print(f"\nserver: {stats['executed']} executed, "
-              f"{stats['cache_hits']} cache hits, "
-              f"{stats['coalesced']} coalesced, "
-              f"{stats['pending']} pending "
-              f"({stats['store']['backend']} store, "
-              f"{stats['store']['records']} records)")
-        return 0
-    jobs = session.jobs
-    if args.campaign:
-        campaign = session.get_campaign(args.campaign)
-        jobs = campaign.jobs
-    if args.status:
-        jobs = jobs.filter(status=args.status)
-    rows = [
-        (j.id, j.label, j.data["tenant"], j.status,
-         f"{j.data['elapsed_s']:.2f}s" if j.data.get("elapsed_s") else "-")
-        for j in jobs
-    ]
     print(format_table(["id", "label", "tenant", "status", "elapsed"], rows))
     return 0
 

@@ -129,18 +129,18 @@ class ServerProcess:
         from repro.client import Session
 
         deadline = time.monotonic() + timeout_s
-        session = Session(self.url, retries=0)
-        while time.monotonic() < deadline:
-            if self.proc.poll() is not None:
-                raise ChaosFailure(
-                    f"server exited with {self.proc.returncode} before "
-                    f"becoming healthy"
-                )
-            try:
-                session.health()
-                return
-            except Exception:
-                time.sleep(0.05)
+        with Session(self.url, retries=0) as session:
+            while time.monotonic() < deadline:
+                if self.proc.poll() is not None:
+                    raise ChaosFailure(
+                        f"server exited with {self.proc.returncode} before "
+                        f"becoming healthy"
+                    )
+                try:
+                    session.health()
+                    return
+                except Exception:
+                    time.sleep(0.05)
         raise ChaosFailure(f"server not healthy within {timeout_s:g}s")
 
     def sigkill(self) -> None:
@@ -208,7 +208,9 @@ def run_chaos_scenario(
     """
     from repro.client import Session
 
-    workdir = Path(workdir)
+    # Resolved once: the server runs with cwd=workdir, so a relative
+    # store or journal path would be resolved against it a second time.
+    workdir = Path(workdir).resolve()
     workdir.mkdir(parents=True, exist_ok=True)
     port = port or free_port()
     store_path = workdir / "chaos-results.jsonl"
@@ -246,58 +248,63 @@ def run_chaos_scenario(
         raise ChaosFailure(f"timed out waiting for {what}")
 
     deadline = time.monotonic() + timeout_s
-    session = Session(f"http://127.0.0.1:{port}", tenant="chaos")
+    with Session(f"http://127.0.0.1:{port}", tenant="chaos") as session:
+        # -- phase 1: submit, then kill mid-queue -----------------------
+        srv = server(resume=False, log_name="serve-1.log")
+        campaign = session.submit_campaign(doc)
+        cid = campaign.id
+        srv.sigkill()
+        report["phases"].append(
+            {"phase": "kill-mid-queue", "campaign": cid}
+        )
 
-    # -- phase 1: submit, then kill mid-queue ---------------------------
-    srv = server(resume=False, log_name="serve-1.log")
-    campaign = session.submit_campaign(doc)
-    cid = campaign.id
-    srv.sigkill()
-    report["phases"].append({"phase": "kill-mid-queue", "campaign": cid})
+        # -- phase 2: resume; kill again once execution is underway -----
+        srv = server(resume=True, log_name="serve-2.log")
+        # One logical stream across every remaining restart: the collector
+        # rides the ?since= cursor and must see each job event exactly once.
+        events: list = []
+        stream_error: list[BaseException] = []
 
-    # -- phase 2: resume; kill again once execution is underway ---------
-    srv = server(resume=True, log_name="serve-2.log")
-    # One logical stream across every remaining restart: the collector
-    # rides the ?since= cursor and must see each job event exactly once.
-    events: list = []
-    stream_error: list[BaseException] = []
+        def collect() -> None:
+            try:
+                for event in session.get_campaign(cid).stream():
+                    events.append(event)
+            except BaseException as exc:  # surfaced by the main thread
+                stream_error.append(exc)
 
-    def collect() -> None:
-        try:
-            for event in session.get_campaign(cid).stream():
-                events.append(event)
-        except BaseException as exc:  # surfaced by the main thread
-            stream_error.append(exc)
+        collector = threading.Thread(target=collect, daemon=True)
+        collector.start()
+        counts = wait_for(
+            session, cid,
+            lambda c: c["running"] + c["ok"] + c["cached"] > 0,
+            "execution to begin after first resume", deadline,
+        )
+        srv.sigkill()
+        report["phases"].append({"phase": "kill-mid-execution",
+                                 "counts_at_kill": counts})
 
-    collector = threading.Thread(target=collect, daemon=True)
-    collector.start()
-    counts = wait_for(
-        session, cid,
-        lambda c: c["running"] + c["ok"] + c["cached"] > 0,
-        "execution to begin after first resume", deadline,
-    )
-    srv.sigkill()
-    report["phases"].append({"phase": "kill-mid-execution",
-                             "counts_at_kill": counts})
+        # -- phase 3: resume; kill one worker process mid-job -----------
+        srv = server(resume=True, log_name="serve-3.log")
+        if kill_worker:
+            wait_for(session, cid, lambda c: c["running"] > 0,
+                     "a running job to target its worker", deadline)
+            victim = srv.kill_one_worker()
+            report["phases"].append(
+                {"phase": "kill-worker", "pid": victim}
+            )
 
-    # -- phase 3: resume; kill one worker process mid-job ---------------
-    srv = server(resume=True, log_name="serve-3.log")
-    if kill_worker:
-        wait_for(session, cid, lambda c: c["running"] > 0,
-                 "a running job to target its worker", deadline)
-        victim = srv.kill_one_worker()
-        report["phases"].append({"phase": "kill-worker", "pid": victim})
+        # -- completion -------------------------------------------------
+        collector.join(timeout=max(1.0, deadline - time.monotonic()))
+        if collector.is_alive():
+            raise ChaosFailure(
+                "event stream never reached a terminal event"
+            )
+        if stream_error:
+            raise ChaosFailure(
+                f"client stream failed: {stream_error[0]!r}"
+            ) from stream_error[0]
 
-    # -- completion -----------------------------------------------------
-    collector.join(timeout=max(1.0, deadline - time.monotonic()))
-    if collector.is_alive():
-        raise ChaosFailure("event stream never reached a terminal event")
-    if stream_error:
-        raise ChaosFailure(
-            f"client stream failed: {stream_error[0]!r}"
-        ) from stream_error[0]
-
-    final = session.get_campaign(cid).data
+        final = session.get_campaign(cid).data
     graceful_exit = srv.sigterm()
     report["graceful_exit_code"] = graceful_exit
 

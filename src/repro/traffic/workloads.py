@@ -2,8 +2,10 @@
 
 All builders return a list of :class:`~repro.network.message.Message`
 sorted by creation cycle.  Open-loop loads draw geometric inter-arrival
-times per node (equivalent to per-cycle Bernoulli injection but O(number
-of messages) instead of O(nodes x cycles)).
+times per node by counting Bernoulli trials, one ``random()`` per node
+per cycle: O(nodes x cycles) uniforms, but only O(number of messages)
+generator steps and message objects.  A closed-form sampler would draw
+O(messages) uniforms but change every seeded workload.
 
 Rates are quoted in **flits per node per cycle** -- the unit the
 interconnect literature uses for offered load -- and converted internally
@@ -28,7 +30,12 @@ def merge_streams(*streams: Iterable) -> list:
 
 
 def _geometric_gaps(stream, p: float, until: int, start: int = 0):
-    """Yield arrival cycles of a Bernoulli(p)-per-cycle process."""
+    """Yield arrival cycles of a Bernoulli(p)-per-cycle process.
+
+    Each gap is counted out one trial per cycle, so a node costs one
+    ``stream.random()`` per cycle from ``start`` to its first arrival
+    at or past ``until``, whatever ``p`` is.
+    """
     t = start
     while True:
         # Geometric inter-arrival (support >= 1 cycle between arrivals

@@ -263,7 +263,11 @@ def walk_dependencies(routing: RoutingFunction, sub) -> tuple[Edges, bool]:
     minimal adaptive hop with the chain unchanged.  That is the
     conservative superset of Duato's indirect-dependency closure, so an
     acyclic result is always sound.  States are memoised on
-    ``(node, dateline bits, last channel)``.
+    ``(node, dateline bits, last channel)`` per destination, across all
+    sources: everything expanded from a state is a pure function of it
+    and the destination (``options``, ``hop_bits``, ``minimal_ports``,
+    ``neighbor``), so a state reached again from another source adds no
+    edge, vertex or dead end the first expansion did not.
 
     Returns the graph and whether the subfunction is *connected*: every
     state the full relation reaches offers an option and every option
@@ -278,11 +282,11 @@ def walk_dependencies(routing: RoutingFunction, sub) -> tuple[Edges, bool]:
     # Only endpoint pairs route messages; on topologies with dedicated
     # switching elements (MINs) the switches never source or sink worms,
     # and including them would add dependencies no run can create.
-    for src in topology.endpoints():
-        for dst in topology.endpoints():
+    for dst in topology.endpoints():
+        seen: set[tuple[int, int, Channel | None]] = set()
+        for src in topology.endpoints():
             if src == dst:
                 continue
-            seen: set[tuple[int, int, Channel | None]] = set()
             stack: list[tuple[int, int, Channel | None]] = [(src, 0, None)]
             while stack:
                 state = stack.pop()

@@ -33,7 +33,7 @@ def test_kill_and_resume_scenario_end_to_end(tmp_path):
     journal = tmp_path / "chaos" / "chaos-journal.jsonl"
     finishes = [
         op["job_id"]
-        for op in map(json.loads, journal.open())
+        for op in map(json.loads, journal.read_text().splitlines())
         if op["op"] == "finish"
     ]
     assert len(finishes) == 6 and len(set(finishes)) == 6
