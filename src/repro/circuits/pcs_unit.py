@@ -53,10 +53,11 @@ class PCSControlUnit:
         self.num_ports = num_ports
         self.num_switches = num_switches
         # Flat registers, indexed port * num_switches + switch (port-major,
-        # switch-minor, like the old dict's insertion order).  The probe
-        # walk reads this list directly, with ports out of the plane's
-        # validated PortTables; everyone else goes through the
-        # range-checked accessors below.
+        # switch-minor, like the old dict's insertion order).  The plane's
+        # probe and control-flit loops index this list directly, with
+        # ports out of its validated PortTables, and hand any register in
+        # an unexpected state to the checked accessor below, which raises;
+        # everyone else goes through the range-checked accessors.
         self.regs: list[ChannelRegisters] = [
             ChannelRegisters() for _ in range(num_ports * num_switches)
         ]
@@ -64,8 +65,9 @@ class PCSControlUnit:
         # the circuit crossing this node; reverse mapping is the inverse.
         self.direct_map: dict[tuple[int, int], tuple[int, int]] = {}
         self.reverse_map: dict[tuple[int, int], tuple[int, int]] = {}
-        # History Store: probe id -> output ports already searched here.
-        self._history: dict[int, set[int]] = {}
+        # History Store: probe id -> output ports already searched here
+        # (read and written directly by the probe loop, like ``regs``).
+        self.history_store: dict[int, set[int]] = {}
 
     # -- channel status ----------------------------------------------------
 
@@ -149,27 +151,15 @@ class PCSControlUnit:
 
     # -- history store ----------------------------------------------------
 
-    def history(self, probe_id: int) -> set[int]:
-        got = self._history.get(probe_id)
-        if got is None:
-            got = set()
-            self._history[probe_id] = got
-        return got
-
     def searched(self, probe_id: int, port: int) -> bool:
-        return port in self.searched_ports(probe_id)
-
-    def searched_ports(self, probe_id: int) -> set[int] | tuple[()]:
-        """Ports ``probe_id`` already searched from here (read-only view;
-        unlike :meth:`history` this never allocates an entry)."""
-        return self._history.get(probe_id, ())
+        return port in self.history_store.get(probe_id, ())
 
     def record_search(self, probe_id: int, port: int) -> None:
-        self.history(probe_id).add(port)
+        self.history_store.setdefault(probe_id, set()).add(port)
 
     def clear_history(self, probe_id: int) -> None:
         """Forget a finished probe (registers are recycled in hardware)."""
-        self._history.pop(probe_id, None)
+        self.history_store.pop(probe_id, None)
 
     # -- introspection ----------------------------------------------------
 

@@ -6,6 +6,16 @@ amount of arbitration glue between them (channel *claims*, which make the
 Theorem-3 progress argument concrete: a channel freed for a waiting Force
 probe is held for that probe rather than racing it against newcomers).
 
+The per-cycle loops are the protocol's hot path and carry their
+transitions out in place: ``_step_probes`` decides each due probe's MB-m
+step and performs the advance or the backtrack in the same loop body,
+``_step_control_flits`` does the same for ACK, TEARDOWN and RELEASE_REQ
+hops.  They write channel registers directly after testing them, and
+hand a register in the wrong state to the unit's checked accessor, which
+raises the :class:`~repro.errors.ProtocolError`.  Rarer transitions --
+arrival, failure, waiting on victims, victim release -- and the engine
+callbacks stay methods the loops call.
+
 The plane is deliberately ignorant of *policy*: which circuits to request,
 when to force, when to tear down -- all of that lives in the CLRP/CARP
 engines (:mod:`repro.core`), which the plane calls back into.
@@ -144,6 +154,7 @@ class WavePlane:
             force=force,
             max_misroutes=self.config.misroute_budget,
             ready_at=cycle + 1,
+            circuit=circuit,
         )
         self._next_probe_id += 1
         self.probes.append(probe)
@@ -157,54 +168,9 @@ class WavePlane:
             self.stats.bump("probe.launched_forced")
         return circuit, probe
 
-    def advance_probe(self, probe: Probe, port: int, cycle: int) -> None:
-        """Reserve the chosen channel and move the probe one hop forward."""
-        node = probe.at_node
-        unit = self.units[node]
-        unit.reserve(port, probe.switch, probe.circuit_id)
-        self._drop_claim(probe, (node, port, probe.switch))
-        circuit = self.table.get(probe.circuit_id)
-        # Record the through-mapping at this node (None in_key at source).
-        in_key = None
-        if circuit.path:
-            prev_node, prev_port = circuit.path[-1]
-            in_port = self.ports.reverse_port[prev_node][prev_port]
-            in_key = (in_port, probe.switch)
-        unit.map_through(in_key, (port, probe.switch))
-        circuit.path.append((node, port))
-        nxt = self.ports.neighbor[node][port]
-        assert nxt is not None
-        probe.at_node = nxt
-        probe.ready_at = cycle + self.config.setup_hop_delay
-        probe.hops += 1
-        probe.status = ProbeStatus.SEARCHING
-        if self.log is not None:
-            self.log.emit(cycle, EventKind.PROBE_HOP, node, probe.probe_id,
-                          circuit=probe.circuit_id, port=port, to=nxt)
-        self.stats.bump("probe.hops")
-        self.work_done += 1
-
-    def retreat_probe(
-        self, probe: Probe, prev_node: int, port: int, cycle: int
-    ) -> None:
-        """Backtrack one hop: release the reservation, record the search."""
-        unit = self.units[prev_node]
-        unit.unmap_through((port, probe.switch))
-        unit.release(port, probe.switch, probe.circuit_id)
-        unit.record_search(probe.probe_id, port)
-        probe.history_nodes.add(prev_node)
-        circuit = self.table.get(probe.circuit_id)
-        circuit.path.pop()
-        probe.at_node = prev_node
-        probe.ready_at = cycle + self.config.setup_hop_delay
-        if self.log is not None:
-            self.log.emit(cycle, EventKind.PROBE_BACKTRACK, prev_node,
-                          probe.probe_id, circuit=probe.circuit_id, port=port)
-        self.work_done += 1
-
     def probe_reached_destination(self, probe: Probe, cycle: int) -> None:
         """The whole path is reserved; return the acknowledgment."""
-        circuit = self.table.get(probe.circuit_id)
+        circuit = probe.circuit
         if not circuit.path:
             raise ProtocolError("probe reached destination with empty path")
         probe.status = ProbeStatus.SUCCEEDED
@@ -224,7 +190,7 @@ class WavePlane:
         self.work_done += 1
 
     def probe_failed(self, probe: Probe, cycle: int) -> None:
-        circuit = self.table.get(probe.circuit_id)
+        circuit = probe.circuit
         if circuit.path:
             raise ProtocolError(
                 f"probe {probe.probe_id} failed with reservations outstanding"
@@ -251,11 +217,6 @@ class WavePlane:
             self.units[node].clear_history(probe.probe_id)
         probe.history_nodes.clear()
 
-    def _drop_claim(self, probe: Probe, key: ChannelKey) -> None:
-        if self.claims.get(key) == probe.probe_id:
-            del self.claims[key]
-            self._probe_claims.get(probe.probe_id, set()).discard(key)
-
     def _wake_claimant(self, node: int, port: int, switch: int,
                        cycle: int) -> None:
         """A channel was freed: wake the probe that claimed it (dozing
@@ -269,6 +230,35 @@ class WavePlane:
             probe.ready_at = cycle + 1
 
     # -- victim release ------------------------------------------------------
+
+    def _wait_on_victims(
+        self, probe: Probe, victims: list[tuple[int, int]], cycle: int
+    ) -> None:
+        """A blocked Force probe requests a victim's release and waits.
+
+        ``victims`` holds ``(port, circuit_id)`` for requested channels
+        owned by *established* circuits (Ack Returned set).
+        """
+        if probe.status is not ProbeStatus.WAITING:
+            probe.status = ProbeStatus.WAITING
+            probe.waits += 1
+            self.stats.bump("probe.waits")
+            if self.log is not None:
+                self.log.emit(cycle, EventKind.PROBE_WAIT, probe.at_node,
+                              probe.probe_id, circuit=probe.circuit_id,
+                              victims=len(victims))
+        for _port, circuit_id in victims:
+            if circuit_id in probe.requested_releases:
+                continue
+            probe.requested_releases.add(circuit_id)
+            self.initiate_victim_release(probe, circuit_id, cycle)
+            # One victim at a time is enough to guarantee progress; asking
+            # for more would evict working circuits needlessly.
+            break
+        # Doze: the plane wakes this probe the moment its claimed channel
+        # is released (_wake_claimant), so polling sparsely costs nothing
+        # on the success path and saves a full candidate scan per cycle.
+        probe.ready_at = cycle + 8
 
     def initiate_victim_release(
         self, probe: Probe, circuit_id: int, cycle: int
@@ -458,10 +448,7 @@ class WavePlane:
         both a live probe and the ack-in-flight window (probe already
         finished, circuit not yet established).
         """
-        probe = next(
-            (p for p in self.probes if p.circuit_id == circuit.circuit_id),
-            None,
-        )
+        probe = next((p for p in self.probes if p.circuit is circuit), None)
         for hop_node, hop_port in reversed(circuit.path):
             unit = self.units[hop_node]
             unit.unmap_through((hop_port, circuit.switch))
@@ -557,63 +544,233 @@ class WavePlane:
         self._step_transfers(cycle)
 
     def _step_probes(self, cycle: int) -> None:
+        """One MB-m decision per due probe, carried out where it is made.
+
+        A single pass over the candidate output links in preference
+        order -- profitable first, then misroutes if budget remains --
+        takes the first FREE one.  Links in the History Store, on a dead
+        link, or claimed for another waiting probe (a victim teardown
+        must not be raced by a newcomer) are never candidates; the
+        probe's own claims stay visible, so a waiting probe keeps
+        waiting instead of backtracking.  A Force probe collects, in the
+        same pass, the requested channels owned by *established*
+        circuits, judged as the paper says: by the Ack Returned bit of
+        the local unit (set only on a RESERVED channel; reserve and
+        release clear it).
+        """
         if not self.probes:
             return
+        ports = self.ports
+        walk, neighbor = ports.walk, ports.neighbor
+        reverse_port, return_port = ports.reverse_port, ports.return_port
+        units, claims, faults = self.units, self.claims, self.faults
+        counters = self.stats.counters
+        log = self.log
+        hop_delay = self.config.setup_hop_delay
+        stride = self.config.num_switches
+        searching, waiting = ProbeStatus.SEARCHING, ProbeStatus.WAITING
+        free, reserved = ChannelStatus.FREE, ChannelStatus.RESERVED
+        work = 0
         # The due probes, in launch order.  Nothing a step does makes
         # another probe due this cycle (a wake or a launch is for
         # cycle + 1), but it can finish one: re-check the status.
         for probe in [p for p in self.probes if p.ready_at <= cycle]:
             status = probe.status
-            if status is ProbeStatus.SEARCHING or status is ProbeStatus.WAITING:
-                probe.step(self, cycle)
+            if status is not searching and status is not waiting:
+                continue
+            node = probe.at_node
+            if node == probe.dst:
+                self.probe_reached_destination(probe, cycle)
+                continue
+            pid, cid = probe.probe_id, probe.circuit_id
+            switch, force = probe.switch, probe.force
+            path = probe.circuit.path
+            profitable, others = walk[node, probe.dst]
+            back_port = None
+            if probe.misroutes >= probe.max_misroutes:
+                others = ()
+            elif others and path:
+                # The port straight back over the hop we arrived on: a
+                # misroute there is a pure U-turn -- if the search below
+                # this node is exhausted the backtrack handles it, so
+                # U-turn misroutes only burn budget and lengthen
+                # circuits.  None on unidirectional links.
+                prev_node, prev_port = path[-1]
+                back_port = return_port[prev_node][prev_port]
+            unit = units[node]
+            regs = unit.regs
+            searched = unit.history_store.get(pid, ())
+            taken = -1
+            victims: list[tuple[int, int]] = []
+            for misrouting, candidates in enumerate((profitable, others)):
+                for port in candidates:
+                    if port in searched or (misrouting and port == back_port):
+                        continue
+                    if faults is not None and faults.is_faulty(node, port):
+                        continue
+                    if claims:
+                        claimant = claims.get((node, port, switch))
+                        if claimant is not None and claimant != pid:
+                            continue
+                    reg = regs[port * stride + switch]
+                    if reg.status is free:
+                        taken = port
+                        break
+                    if force and reg.ack_returned:
+                        victims.append((port, reg.circuit_id))
+                if taken >= 0:
+                    break
+
+            if taken >= 0:
+                # Advance: reserve the register this pass just read as
+                # FREE, drop our claim on it, map the hop through.
+                port = taken
+                if misrouting:
+                    probe.misroutes += 1
+                    counters["probe.misroutes"] = (
+                        counters.get("probe.misroutes", 0) + 1
+                    )
+                probe.backtracking = False
+                reg.status = reserved
+                reg.circuit_id = cid
+                reg.ack_returned = False
+                if claims:
+                    key = (node, port, switch)
+                    if claims.get(key) == pid:
+                        del claims[key]
+                        self._probe_claims.get(pid, set()).discard(key)
+                out_key = (port, switch)
+                if path:
+                    prev_node, prev_port = path[-1]
+                    in_key = (reverse_port[prev_node][prev_port], switch)
+                    unit.direct_map[in_key] = out_key
+                    unit.reverse_map[out_key] = in_key
+                path.append((node, port))
+                nxt = neighbor[node][port]
+                assert nxt is not None
+                probe.at_node = nxt
+                probe.ready_at = cycle + hop_delay
+                probe.hops += 1
+                probe.status = searching
+                if log is not None:
+                    log.emit(cycle, EventKind.PROBE_HOP, node, pid,
+                             circuit=cid, port=port, to=nxt)
+                counters["probe.hops"] = counters.get("probe.hops", 0) + 1
+                work += 1
+                continue
+
+            if force:
+                if victims:
+                    self._wait_on_victims(probe, victims, cycle)
+                    continue
+                # Every requested channel belongs to a circuit being
+                # established: the probe must backtrack even with Force
+                # set (waiting would close a cyclic channel dependency).
+                counters["probe.force_backtracks"] = (
+                    counters.get("probe.force_backtracks", 0) + 1
+                )
+            probe.status = searching
+            if not path:
+                # At the source with nothing left to search: it failed.
+                self.probe_failed(probe, cycle)
+                continue
+            # Backtrack one hop: unmap and release the last reservation,
+            # record the link in that node's History Store.
+            prev_node, port = path.pop()
+            unit = units[prev_node]
+            in_key = unit.reverse_map.pop((port, switch), None)
+            if in_key is not None:
+                unit.direct_map.pop(in_key, None)
+            reg = unit.regs[port * stride + switch]
+            if reg.status is not reserved or reg.circuit_id != cid:
+                unit.release(port, switch, cid)  # raises: not held by cid
+            reg.status = free
+            reg.circuit_id = None
+            reg.ack_returned = False
+            history = unit.history_store.get(pid)
+            if history is None:
+                unit.history_store[pid] = {port}
+            else:
+                history.add(port)
+            probe.history_nodes.add(prev_node)
+            probe.at_node = prev_node
+            probe.ready_at = cycle + hop_delay
+            probe.backtracking = True
+            probe.backtracks += 1
+            if log is not None:
+                log.emit(cycle, EventKind.PROBE_BACKTRACK, prev_node, pid,
+                         circuit=cid, port=port)
+            counters["probe.backtracks"] = counters.get("probe.backtracks", 0) + 1
+            work += 1
+        self.work_done += work
 
     def _step_control_flits(self, cycle: int) -> None:
         if not self.control_flits:
             return
+        circuits = self.table.circuits
+        units, claims = self.units, self.claims
         hop_delay = self.config.setup_hop_delay
+        stride = self.config.num_switches
+        ack, teardown = ControlFlitKind.ACK, ControlFlitKind.TEARDOWN
+        free, reserved = ChannelStatus.FREE, ChannelStatus.RESERVED
+        work = 0
         finished: list[ControlFlit] = []
         # Flits launched by a callback below are due next cycle at the
         # earliest, so the due set is fixed here.
         for flit in [f for f in self.control_flits if f.ready_at <= cycle]:
-            circuit = self.table.get(flit.circuit_id)
-            if flit.kind is ControlFlitKind.ACK:
+            cid = flit.circuit_id
+            circuit = circuits.get(cid)
+            if circuit is None:
+                circuit = self.table.get(cid)  # raises: unknown circuit
+            kind = flit.kind
+            if kind is ack:
                 node, port = circuit.path[flit.hop_index]
-                self.units[node].set_ack_returned(port, circuit.switch,
-                                                  circuit.circuit_id)
+                reg = units[node].regs[port * stride + circuit.switch]
+                if reg.circuit_id != cid:  # raises: crossed a foreign channel
+                    units[node].set_ack_returned(port, circuit.switch, cid)
+                reg.ack_returned = True
                 flit.hop_index -= 1
                 flit.ready_at = cycle + hop_delay
-                self.work_done += 1
+                work += 1
                 if flit.hop_index < 0:
                     circuit.state = CircuitState.ESTABLISHED
                     circuit.established_at = cycle
                     finished.append(flit)
                     if self.log is not None:
                         self.log.emit(cycle, EventKind.CIRCUIT_ESTABLISHED,
-                                      circuit.src, circuit.circuit_id,
+                                      circuit.src, cid,
                                       dst=circuit.dst, hops=circuit.length)
                     self.stats.bump("circuit.established")
                     self._engine(circuit.src).circuit_established(circuit, cycle)
-            elif flit.kind is ControlFlitKind.TEARDOWN:
+            elif kind is teardown:
                 node, port = circuit.path[flit.hop_index]
-                unit = self.units[node]
-                unit.unmap_through((port, circuit.switch))
-                unit.release(port, circuit.switch, circuit.circuit_id)
-                self._wake_claimant(node, port, circuit.switch, cycle)
+                switch = circuit.switch
+                unit = units[node]
+                in_key = unit.reverse_map.pop((port, switch), None)
+                if in_key is not None:
+                    unit.direct_map.pop(in_key, None)
+                reg = unit.regs[port * stride + switch]
+                if reg.status is not reserved or reg.circuit_id != cid:
+                    unit.release(port, switch, cid)  # raises: not held by cid
+                reg.status = free
+                reg.circuit_id = None
+                reg.ack_returned = False
+                if claims:
+                    self._wake_claimant(node, port, switch, cycle)
                 flit.hop_index += 1
                 circuit.released_upto = flit.hop_index
                 flit.ready_at = cycle + hop_delay
-                self.work_done += 1
+                work += 1
                 if flit.hop_index >= len(circuit.path):
                     circuit.state = CircuitState.DEAD
                     circuit.released_at = cycle
                     finished.append(flit)
                     if self.log is not None:
                         self.log.emit(cycle, EventKind.CIRCUIT_RELEASED,
-                                      circuit.src, circuit.circuit_id,
-                                      uses=circuit.uses)
+                                      circuit.src, cid, uses=circuit.uses)
                     self.stats.bump("circuit.released")
                     self._engine(circuit.src).circuit_released(circuit, cycle)
-            elif flit.kind is ControlFlitKind.RELEASE_REQ:
+            else:  # RELEASE_REQ
                 # Discard if the circuit is already going away (race case
                 # from the Theorem 1 proof) -- a first request, or the
                 # teardown itself, has overtaken this one.  A circuit still
@@ -628,10 +785,11 @@ class WavePlane:
                     continue
                 flit.hop_index -= 1
                 flit.ready_at = cycle + hop_delay
-                self.work_done += 1
+                work += 1
                 if flit.hop_index < 0:
                     finished.append(flit)
                     self._engine(circuit.src).release_requested(circuit, cycle)
+        self.work_done += work
         if finished:
             finished_ids = set(map(id, finished))
             self.control_flits = [

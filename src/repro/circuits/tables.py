@@ -8,9 +8,9 @@ answers never change while a plane lives.  :class:`PortTables` asks the
 tuples the walk indexes directly.
 
 Every value is range-checked here, when it enters a table, so the code
-that reads the tables (``Probe.step``, ``WavePlane.advance_probe`` /
-``retreat_probe``) can index channel registers with it unchecked: a node
-or port that is out of range makes *construction* fail.
+that reads the tables (``WavePlane._step_probes``) can index channel
+registers with it unchecked: a node or port that is out of range makes
+*construction* fail.
 """
 
 from __future__ import annotations

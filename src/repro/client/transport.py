@@ -234,6 +234,7 @@ class HttpTransport:
         session's auto-reconnect -- never a raw ``socket.timeout``.
         """
         conn = self._connect()
+        resp = None
         try:
             try:
                 conn.request("GET", path + _qs(params),
@@ -272,6 +273,8 @@ class HttpTransport:
                 if line:
                     yield json.loads(line)
         finally:
+            if resp is not None:
+                resp.close()  # a close-framed response owns the socket
             conn.close()
 
 

@@ -36,7 +36,6 @@ from repro.orchestrate.spec import JobSpec
 from repro.sim.engine import SimulationResult
 from repro.sim.stats import StatsCollector
 from repro.topology import FaultSchedule, FaultSet, build_topology
-from repro.topology.base import Topology
 from repro.topology.faults import derive_fault_rng
 from repro.traffic.compiler import compile_directives
 from repro.verify import (
@@ -54,7 +53,6 @@ class PreparedJob:
     """Everything a spec describes, built and wired but not yet run."""
 
     spec: JobSpec
-    topology: Topology
     items: list
     faults: FaultSet | None
     network: Network
@@ -151,7 +149,7 @@ def prepare_job(spec: JobSpec, *, faults: FaultSet | None = None) -> PreparedJob
         from repro.verify.fuzz import InvariantHarness
 
         harness = InvariantHarness(net, every=spec.invariants_every)
-    return PreparedJob(spec, topology, items, faults, net, sampler, harness)
+    return PreparedJob(spec, items, faults, net, sampler, harness)
 
 
 def execute_job(spec: JobSpec) -> dict:
@@ -160,9 +158,11 @@ def execute_job(spec: JobSpec) -> dict:
     A spec with ``invariants_every`` set (every fuzz scenario) is also a
     differential test: unless it already names ``reference``, the same
     spec runs again on ``Network.step_reference`` and every observable
-    -- the metrics dict (final cycle and stats counters included) and
-    the work counter -- must be equal, else :class:`BackendDivergence`
-    names the first key that differs.  The second run happens inside the
+    -- the metrics dict (final cycle and stats counters included), the
+    work counter, and the harness's hash of the per-cycle work counter
+    (``work_trajectory``: the same total reached in different cycles)
+    -- must be equal, else :class:`BackendDivergence` names the first key
+    that differs.  The second run happens inside the
     job because ``JobSpec.key()`` excludes ``backend``: a separate
     reference job would be a cache hit on this one.
 
@@ -179,8 +179,10 @@ def execute_job(spec: JobSpec) -> dict:
         ))
         expected = ref.metrics(ref.run())
         where = first_difference(
-            {**metrics, "work_counter": job.network.work_counter},
-            {**expected, "work_counter": ref.network.work_counter},
+            {**metrics, "work_counter": job.network.work_counter,
+             "work_trajectory": job.harness.work_trajectory},
+            {**expected, "work_counter": ref.network.work_counter,
+             "work_trajectory": ref.harness.work_trajectory},
         )
         if where is not None:
             key, got, want = where

@@ -25,7 +25,8 @@ explores the protocol state space mechanically:
   :func:`~repro.orchestrate.runner.execute_job` runs each one on the
   fast stepping core and again on ``step_reference`` and raises
   :class:`~repro.errors.BackendDivergence` on the first observable that
-  differs.  A wave-plane bug moves both runs alike and is not caught
+  differs, the harness's rolling hash of the per-cycle work counter
+  included.  A wave-plane bug moves both runs alike and is not caught
   this way; the plane goldens are its guard.
 
 * :func:`shrink` reduces a failing spec to a minimal reproducer by a
@@ -73,10 +74,17 @@ class InvariantHarness:
         self.network = network
         self.every = every
         self.checks_run = 0
+        # Rolling hash of (cycle, work counter) over every cycle: two runs
+        # with equal hashes did the same work in the same cycles, not
+        # just the same total.
+        self.work_trajectory = 0
 
     # Each check is a method so failures name themselves in tracebacks.
 
     def on_cycle(self, net) -> None:
+        self.work_trajectory = hash(
+            (self.work_trajectory, net.cycle, net.work_counter)
+        )
         if net.cycle % self.every:
             return
         check_all_invariants(net)

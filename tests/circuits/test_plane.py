@@ -377,3 +377,65 @@ class TestIdleness:
         assert not plane.is_idle()
         run_until_idle(plane, 1)
         assert plane.is_idle()
+
+
+class TestStateChecksInTheLoops:
+    """The per-cycle loops write registers in place; a register that is
+    not in the state the transition expects must still raise the unit's
+    own ProtocolError, mid-flight."""
+
+    @staticmethod
+    def corrupt(plane, node, port, owner):
+        reg = plane.units[node].regs[port * plane.config.num_switches]
+        reg.circuit_id = owner
+
+    def test_ack_crossing_a_channel_owned_by_another_circuit(self):
+        topo, plane, engines, stats = build_plane(dims=(4,), num_switches=1)
+        circuit, _ = plane.launch_probe(0, 3, 0, force=False, cycle=0)
+        cycle = 1
+        while plane.probes:  # until the probe has succeeded
+            plane.step(cycle)
+            cycle += 1
+        [ack] = plane.control_flits
+        assert ack.kind is ControlFlitKind.ACK
+        node, port = circuit.path[0]  # the ack's last hop
+        self.corrupt(plane, node, port, 999)
+        with pytest.raises(
+            ProtocolError,
+            match=rf"ack for circuit {circuit.circuit_id} crossed channel "
+                  rf"\({port},0\) at node {node} owned by 999",
+        ):
+            run_until_idle(plane, cycle)
+
+    def test_teardown_of_a_channel_the_circuit_does_not_hold(self):
+        topo, plane, engines, stats = build_plane(dims=(4,), num_switches=1)
+        circuit = establish(plane, 0, 3)
+        node, port = circuit.path[1]
+        self.corrupt(plane, node, port, 999)
+        plane.start_teardown(circuit, 100)
+        with pytest.raises(
+            ProtocolError,
+            match=rf"node {node} channel \({port},0\) not held by circuit "
+                  rf"{circuit.circuit_id} \(status reserved, owner 999\)",
+        ):
+            run_until_idle(plane, 101)
+
+    def test_backtrack_over_a_channel_the_probe_does_not_hold(self):
+        topo, plane, engines, stats = build_plane(
+            dims=(3,), num_switches=1, misroute_budget=0
+        )
+        # Hold 1 -> 2 for a circuit still being set up: the probe from 0
+        # reaches node 1, finds nothing to take, and must backtrack.
+        [onward] = topo.minimal_ports(1, 2)
+        plane.units[1].reserve(onward, 0, 999)
+        circuit, probe = plane.launch_probe(0, 2, 0, force=False, cycle=0)
+        plane.step(1)
+        assert probe.at_node == 1
+        node, port = circuit.path[0]
+        self.corrupt(plane, node, port, 998)
+        with pytest.raises(
+            ProtocolError,
+            match=rf"node {node} channel \({port},0\) not held by circuit "
+                  rf"{circuit.circuit_id} \(status reserved, owner 998\)",
+        ):
+            plane.step(2)

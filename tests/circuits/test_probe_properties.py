@@ -133,8 +133,8 @@ def test_mbm_contract(scenario):
 
 # -- one decision of the walk against its definition -------------------------
 #
-# Probe.step reads interned tuples out of PortTables and the channel
-# registers by index.  The oracle below is the module docstring of
+# The plane's probe loop reads interned tuples out of PortTables and the
+# channel registers by index.  The oracle below is the module docstring of
 # repro.circuits.probe written out with the Topology's own methods and
 # the unit's checked getters, and knows nothing of either.
 
@@ -205,18 +205,27 @@ def plane_states(draw):
     dst = draw(st.integers(0, topo.num_endpoints - 2))
     dst += dst >= src
     switch = draw(st.integers(0, 1))
-    _circuit, probe = plane.launch_probe(src, dst, switch, force=force, cycle=0)
-    # Walk it somewhere, so it stands on a path with a hop to U-turn onto.
+    circuit, probe = plane.launch_probe(src, dst, switch, force=force, cycle=0)
+    # Walk it somewhere, so it stands on a path with a hop to U-turn onto;
+    # each hop reserved and mapped through the unit's checked API.
     for _ in range(draw(st.integers(0, 3))):
+        at = probe.at_node
+        unit = plane.units[at]
         onward = [
-            p for p in topo.connected_ports(probe.at_node)
-            if topo.neighbor(probe.at_node, p) != dst
-            and plane.units[probe.at_node].status(p, switch)
-            is ChannelStatus.FREE
+            p for p in topo.connected_ports(at)
+            if topo.neighbor(at, p) != dst
+            and unit.status(p, switch) is ChannelStatus.FREE
         ]
         if not onward:
             break
-        plane.advance_probe(probe, draw(st.sampled_from(onward)), 0)
+        port = draw(st.sampled_from(onward))
+        unit.reserve(port, switch, circuit.circuit_id)
+        in_key = None
+        if circuit.path:
+            in_key = (topo.reverse_port(*circuit.path[-1]), switch)
+        unit.map_through(in_key, (port, switch))
+        circuit.path.append((at, port))
+        probe.at_node = topo.neighbor(at, port)
     probe.misroutes = draw(st.integers(0, m))
     # Then dress every output link of the node it stands at.
     at = probe.at_node
@@ -256,13 +265,15 @@ def test_step_takes_what_the_definition_takes(state):
     misroutes = probe.misroutes
     expected = expected_decision(topo, plane, faults, probe)
 
-    probe.step(plane, 10)
+    plane.step(10)  # the probe is the only one in flight, and due
 
     if expected[0] == "advance":
         _, port, is_misroute = expected
         assert circuit.path == path + [(at, port)]
         assert probe.at_node == topo.neighbor(at, port)
         assert plane.units[at].owner(port, switch) == circuit.circuit_id
+        in_key = (topo.reverse_port(*path[-1]), switch) if path else None
+        assert plane.units[at].prev_hop((port, switch)) == in_key
         assert probe.misroutes == misroutes + is_misroute
         assert probe.status is ProbeStatus.SEARCHING
         assert not probe.backtracking
@@ -279,6 +290,7 @@ def test_step_takes_what_the_definition_takes(state):
         assert probe.at_node == prev_node and circuit.path == path[:-1]
         assert plane.units[prev_node].searched(probe.probe_id, prev_port)
         assert plane.units[prev_node].status(prev_port, switch) is ChannelStatus.FREE
+        assert plane.units[prev_node].prev_hop((prev_port, switch)) is None
         assert probe.backtracking
     else:
         assert probe.status is ProbeStatus.FAILED

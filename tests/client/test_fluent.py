@@ -33,6 +33,12 @@ def service(tmp_path):
         yield url
 
 
+@pytest.fixture
+def session(service):
+    with Session(service) as session:
+        yield session
+
+
 class TestCampaignBuilder:
     def base_builder(self, session):
         return (
@@ -62,8 +68,7 @@ class TestCampaignBuilder:
                                "seed": [0, 1]}
         assert doc["jobs"] == [{"protocol": "carp"}]
 
-    def test_build_submit_wait(self, service):
-        session = Session(service)
+    def test_build_submit_wait(self, session):
         campaign = (
             self.base_builder(session)
             .grid(seed=[0, 1])
@@ -76,17 +81,17 @@ class TestCampaignBuilder:
         assert len(campaign.jobs.all()) == 2
 
     def test_builder_tenant_overrides_session(self, service):
-        session = Session(service, tenant="alice")
-        campaign = (
-            self.base_builder(session).grid(seed=[0]).tenant("bob").submit()
-        )
+        with Session(service, tenant="alice") as session:
+            campaign = (
+                self.base_builder(session).grid(seed=[0]).tenant("bob")
+                .submit()
+            )
         assert campaign.data["tenant"] == "bob"
 
 
 class TestJobCollection:
     @pytest.fixture
-    def campaign(self, service):
-        session = Session(service)
+    def campaign(self, session):
         specs = [tiny_spec(load, seed) for load in (0.05, 0.1)
                  for seed in (0, 1)]
         return session.submit_specs(specs, name="grid").wait(timeout=60)
@@ -110,8 +115,7 @@ class TestJobCollection:
         assert campaign.jobs.filter(status="failed").first() is None
         assert campaign.jobs.filter(status="nope").count() == 0
 
-    def test_resubmit_hits_cache(self, campaign, service):
-        session = Session(service)
+    def test_resubmit_hits_cache(self, campaign, session):
         before = session.store_stats()["executed"]
         again = campaign.jobs.filter(status="ok").resubmit(
             name="again"
@@ -123,8 +127,7 @@ class TestJobCollection:
         with pytest.raises(ValueError, match="no jobs match"):
             campaign.jobs.filter(status="failed").resubmit()
 
-    def test_session_wide_jobs_query(self, campaign, service):
-        session = Session(service)
+    def test_session_wide_jobs_query(self, campaign, session):
         assert len(session.jobs.filter(status="ok")) == 4
 
 

@@ -8,7 +8,6 @@ per event or writes per op fails here before any benchmark runs.
 
 from repro.orchestrate import ResultStore, parse_campaign
 from repro.orchestrate.spec import JobSpec
-from repro.service.journal import CampaignJournal
 from repro.service.scheduler import FairScheduler
 from repro.service.state import ServiceState
 
@@ -54,13 +53,15 @@ def counted(monkeypatch, name: str) -> list:
     return calls
 
 
-def test_cached_submission_stays_within_budget(tmp_path, monkeypatch):
+def test_cached_submission_stays_within_budget(
+    tmp_path, monkeypatch, open_journal
+):
     store = ResultStore(tmp_path / "results.jsonl")
     _, specs = parse_campaign(DOCUMENT)
     for spec in specs:
         store.record(spec.key(), spec_dict=spec.to_dict(), status="ok",
                      metrics={"delivered": 1})
-    journal = CampaignJournal(tmp_path / "journal.jsonl")
+    journal = open_journal(tmp_path / "journal.jsonl")
     state = ServiceState(store, FairScheduler(), journal=journal)
     journal.append({"op": "drain", "pending": 0})  # opens the handle
     handle = journal._fh = CountingHandle(journal._fh)

@@ -30,26 +30,24 @@ def populated_store(tmp_path, specs) -> ResultStore:
     return store
 
 
-def state_over(store, journal_path) -> ServiceState:
-    return ServiceState(
-        store, FairScheduler(), journal=CampaignJournal(journal_path)
-    )
+def state_over(store, journal) -> ServiceState:
+    return ServiceState(store, FairScheduler(), journal=journal)
 
 
-def cached_submission(tmp_path, specs):
+def cached_submission(tmp_path, specs, open_journal):
     """Submit all-cached ``specs``; the state and the journal's bytes."""
     state = state_over(populated_store(tmp_path, specs),
-                       tmp_path / "journal.jsonl")
+                       open_journal(tmp_path / "journal.jsonl"))
     state.submit("sweep", specs, tenant="alice", priority=2)
     return state, (tmp_path / "journal.jsonl").read_bytes()
 
 
 class TestSubmissionIsOneBatch:
-    def test_op_sequence_of_a_cached_submission(self, tmp_path):
+    def test_op_sequence_of_a_cached_submission(self, tmp_path, open_journal):
         """Op for op what per-op appends wrote: the campaign, then each
         job directly followed by its cached finish."""
         specs = [tiny_spec(seed=seed) for seed in range(10)]
-        state, _ = cached_submission(tmp_path, specs)
+        state, _ = cached_submission(tmp_path, specs, open_journal)
         [campaign] = state.campaigns.values()
         ops = state.journal.load()
         assert [op["op"] for op in ops] == ["campaign"] + ["job", "finish"] * 10
@@ -73,11 +71,11 @@ class TestSubmissionIsOneBatch:
             }
         assert state.journal.appended == 21
 
-    def test_raising_submit_journals_what_it_reached(self, tmp_path):
+    def test_raising_submit_journals_what_it_reached(self, tmp_path, open_journal):
         """The batch lands in a ``finally``: a submission that dies on
         its third spec leaves the ops of the first two, as before."""
         state = state_over(ResultStore(tmp_path / "results.jsonl"),
-                           tmp_path / "journal.jsonl")
+                           open_journal(tmp_path / "journal.jsonl"))
         with pytest.raises(AttributeError):
             state.submit("broken", [tiny_spec(0.05), tiny_spec(0.1), object()])
         assert [op["op"] for op in state.journal.load()] == [
@@ -87,9 +85,9 @@ class TestSubmissionIsOneBatch:
         state._journal({"op": "cancel", "campaign_id": "c-none"})
         assert state.journal.load()[-1]["op"] == "cancel"
 
-    def test_single_transitions_still_write_immediately(self, tmp_path):
+    def test_single_transitions_still_write_immediately(self, tmp_path, open_journal):
         state = state_over(ResultStore(tmp_path / "results.jsonl"),
-                           tmp_path / "journal.jsonl")
+                           open_journal(tmp_path / "journal.jsonl"))
         state.submit("sweep", [tiny_spec()])
         job = state.scheduler.acquire()
         state.mark_running(job)
@@ -99,9 +97,9 @@ class TestSubmissionIsOneBatch:
 
 
 class TestTornBatch:
-    def test_any_cut_loads_as_whole_lines_only(self, tmp_path):
+    def test_any_cut_loads_as_whole_lines_only(self, tmp_path, open_journal):
         specs = [tiny_spec(load) for load in LOADS]
-        state, data = cached_submission(tmp_path, specs)
+        state, data = cached_submission(tmp_path, specs, open_journal)
         ops = state.journal.load()
         assert len(ops) == 7
         torn = CampaignJournal(tmp_path / "torn.jsonl")
@@ -113,12 +111,12 @@ class TestTornBatch:
             assert loaded == ops[:len(loaded)]
             assert len(loaded) - data[:cut].count(b"\n") in (0, 1)
 
-    def test_restore_from_any_torn_line(self, tmp_path):
+    def test_restore_from_any_torn_line(self, tmp_path, open_journal):
         """Cut inside and around every line: restore() rebuilds the jobs
         whose ``job`` line survived, and those missing their ``finish``
         line re-admit and resolve ``cached`` -- nothing re-executes."""
         specs = [tiny_spec(load) for load in LOADS]
-        state, data = cached_submission(tmp_path, specs)
+        state, data = cached_submission(tmp_path, specs, open_journal)
         store = state.store
         ends = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
         cuts = set()
@@ -131,7 +129,7 @@ class TestTornBatch:
             job_ids = [op["job_id"] for op in whole if op["op"] == "job"]
             finished = sum(1 for op in whole if op["op"] == "finish")
 
-            revived = state_over(store, path)
+            revived = state_over(store, open_journal(path))
             report = revived.restore()
             assert report == {
                 "campaigns": 1 if whole else 0, "jobs": len(job_ids),
@@ -148,14 +146,14 @@ class TestTornBatch:
                     range(len(job_ids))
                 )
             # What restore() wrote replays to the same world.
-            again = state_over(store, path)
+            again = state_over(store, open_journal(path))
             assert again.restore()["finished"] == len(job_ids)
             assert list(again.jobs) == job_ids
 
 
 class TestKeptHandle:
-    def test_appends_after_rewrite_land_in_the_new_file(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "j.jsonl")
+    def test_appends_after_rewrite_land_in_the_new_file(self, tmp_path, open_journal):
+        journal = open_journal(tmp_path / "j.jsonl")
         for i in range(3):
             journal.append({"op": "run", "n": i})
         journal.rewrite([{"op": "campaign"}])
@@ -170,16 +168,16 @@ class TestKeptHandle:
             "campaign", "job", "finish",
         ]
 
-    def test_close_then_append_reopens(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "deep" / "j.jsonl")
+    def test_close_then_append_reopens(self, tmp_path, open_journal):
+        journal = open_journal(tmp_path / "deep" / "j.jsonl")
         journal.close()  # never opened: a no-op
         journal.append({"op": "campaign"})
         journal.close()
         journal.append({"op": "job"})
         assert [op["op"] for op in journal.load()] == ["campaign", "job"]
 
-    def test_empty_batch_writes_nothing(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "j.jsonl")
+    def test_empty_batch_writes_nothing(self, tmp_path, open_journal):
+        journal = open_journal(tmp_path / "j.jsonl")
         with journal.batch():
             pass
         assert not journal.path.exists()

@@ -8,6 +8,7 @@ exactly as a dead process would.
 """
 
 import time
+from contextlib import contextmanager
 
 from repro.client import Session
 from repro.service.server import ServiceConfig, ServiceThread
@@ -36,6 +37,17 @@ def wait_until(predicate, timeout_s=30.0, what="condition"):
     raise AssertionError(f"timed out waiting for {what}")
 
 
+@contextmanager
+def serving(config):
+    """A live server and a session on it; both closed on exit."""
+    server = ServiceThread(config)
+    try:
+        with Session(server.start()) as session:
+            yield server, session
+    finally:
+        server.stop()
+
+
 class TestRestartResume:
     def test_unclean_stop_then_resume_completes_campaign(self, tmp_path):
         """Submit, die without drain, resume: zero lost, zero duplicated."""
@@ -44,19 +56,14 @@ class TestRestartResume:
             workers=2, executor="thread",
         )
         first = ServiceThread(config)
-        url = first.start()
-        campaign_id = Session(url).submit_campaign(campaign_doc()).id
+        with Session(first.start()) as session:
+            campaign_id = session.submit_campaign(campaign_doc()).id
         first.stop(drain=False)  # simulated crash: no drain, no goodbye
 
-        second = ServiceThread(
-            ServiceConfig(
-                port=0, store=str(tmp_path / "store.jsonl"),
-                workers=2, executor="thread", resume=True,
-            )
-        )
-        try:
-            url = second.start()
-            session = Session(url)
+        with serving(ServiceConfig(
+            port=0, store=str(tmp_path / "store.jsonl"),
+            workers=2, executor="thread", resume=True,
+        )) as (_server, session):
             campaign = session.get_campaign(campaign_id)
             assert campaign.name == "recovery"
             events = [e for e in campaign.stream() if e.event == "job"]
@@ -65,8 +72,6 @@ class TestRestartResume:
             campaign.refresh()
             assert campaign.counts["ok"] + campaign.counts["cached"] == 3
             assert campaign.counts["failed"] == 0
-        finally:
-            second.stop()
 
     def test_resume_skips_work_recorded_before_crash(self, tmp_path):
         """Jobs that finished pre-crash come back terminal, not re-run."""
@@ -75,31 +80,23 @@ class TestRestartResume:
             workers=2, executor="thread",
         )
         first = ServiceThread(config)
-        url = first.start()
-        session = Session(url)
-        campaign = session.submit_campaign(campaign_doc())
-        campaign.wait(timeout=60)
-        executed_first = session.store_stats()["executed"]
+        with Session(first.start()) as session:
+            campaign = session.submit_campaign(campaign_doc())
+            campaign.wait(timeout=60)
+            executed_first = session.store_stats()["executed"]
         assert executed_first == 3
         first.stop(drain=False)
 
-        second = ServiceThread(
-            ServiceConfig(
-                port=0, store=str(tmp_path / "store.jsonl"),
-                workers=2, executor="thread", resume=True,
-            )
-        )
-        try:
-            url = second.start()
-            session = Session(url)
+        with serving(ServiceConfig(
+            port=0, store=str(tmp_path / "store.jsonl"),
+            workers=2, executor="thread", resume=True,
+        )) as (_server, session):
             back = session.get_campaign(campaign.id)
             assert back.status == "done"
             # Nothing to re-execute: the journal finishes restored every
             # job as terminal and the pump got no work.
             assert session.store_stats()["executed"] == 0
             assert session.store_stats()["restored"] == 0
-        finally:
-            second.stop()
 
 
 class TestWorkerDeathRecovery:
@@ -110,10 +107,7 @@ class TestWorkerDeathRecovery:
             port=0, store=str(tmp_path / "store.jsonl"),
             workers=1, executor="process", retries=1,
         )
-        server = ServiceThread(config)
-        try:
-            url = server.start()
-            session = Session(url)
+        with serving(config) as (server, session):
             campaign = session.submit_campaign(
                 campaign_doc(jobs=2, duration=8000)
             )
@@ -139,8 +133,6 @@ class TestWorkerDeathRecovery:
             # The killed job ran twice; the other (queued at the kill)
             # ran once on the rebuilt pool.
             assert attempts == [1, 2]
-        finally:
-            server.stop()
 
     def test_crash_budget_exhaustion_records_honest_failure(self, tmp_path):
         """retries=0: a worker death is a terminal crash, not a hang."""
@@ -148,10 +140,7 @@ class TestWorkerDeathRecovery:
             port=0, store=str(tmp_path / "store.jsonl"),
             workers=1, executor="process", retries=0,
         )
-        server = ServiceThread(config)
-        try:
-            url = server.start()
-            session = Session(url)
+        with serving(config) as (server, session):
             campaign = session.submit_campaign(
                 campaign_doc(jobs=1, duration=8000)
             )
@@ -168,8 +157,6 @@ class TestWorkerDeathRecovery:
             [job] = list(campaign.jobs)
             assert job.data["failure"]["kind"] == "crash"
             assert "worker died" in job.data["failure"]["message"]
-        finally:
-            server.stop()
 
 
 class TestJobTimeout:
@@ -178,10 +165,7 @@ class TestJobTimeout:
             port=0, store=str(tmp_path / "store.jsonl"),
             workers=1, executor="process", job_timeout_s=0.2,
         )
-        server = ServiceThread(config)
-        try:
-            url = server.start()
-            session = Session(url)
+        with serving(config) as (_server, session):
             # Job 1 cannot finish in 0.2s; it must time out...
             slow = session.submit_campaign(
                 campaign_doc(jobs=1, duration=60_000)
@@ -191,8 +175,6 @@ class TestJobTimeout:
             [job] = list(slow.jobs)
             assert job.status == "failed"
             assert job.data["failure"]["kind"] == "timeout"
-        finally:
-            server.stop()
 
 
 class TestGracefulDrain:
@@ -202,35 +184,28 @@ class TestGracefulDrain:
             workers=2, executor="thread", drain_timeout_s=60.0,
         )
         server = ServiceThread(config)
-        url = server.start()
-        session = Session(url)
-        campaign_id = session.submit_campaign(
-            campaign_doc(jobs=2, duration=2000)
-        ).id
-        # A job that already finished proves the same thing as one still
-        # running (its result must survive the stop), and fast jobs can
-        # pass through "running" between two polls.
-        def started() -> bool:
-            counts = session.get_campaign(campaign_id).counts
-            return counts.get("running", 0) + counts.get("ok", 0) > 0
+        with Session(server.start()) as session:
+            campaign_id = session.submit_campaign(
+                campaign_doc(jobs=2, duration=2000)
+            ).id
 
-        wait_until(started, what="jobs to start running")
+            # A job that already finished proves the same thing as one
+            # still running (its result must survive the stop), and fast
+            # jobs can pass through "running" between two polls.
+            def started() -> bool:
+                counts = session.get_campaign(campaign_id).counts
+                return counts.get("running", 0) + counts.get("ok", 0) > 0
+
+            wait_until(started, what="jobs to start running")
         server.stop(drain=True)
         # The drained results reached the store even though the server
         # is gone: a resume has nothing left to do.
-        resumed = ServiceThread(
-            ServiceConfig(
-                port=0, store=str(tmp_path / "store.jsonl"),
-                workers=2, executor="thread", resume=True,
-            )
-        )
-        try:
-            url = resumed.start()
-            back = Session(url).get_campaign(campaign_id)
-            counts = back.counts
-            # Whatever was running at stop() finished and recorded; only
-            # never-started queued work (at most 2 - running) remains.
-            assert counts["failed"] == 0
-            assert counts["ok"] + counts["cached"] >= 1
-        finally:
-            resumed.stop()
+        with serving(ServiceConfig(
+            port=0, store=str(tmp_path / "store.jsonl"),
+            workers=2, executor="thread", resume=True,
+        )) as (_server, session):
+            counts = session.get_campaign(campaign_id).counts
+        # Whatever was running at stop() finished and recorded; only
+        # never-started queued work (at most 2 - running) remains.
+        assert counts["failed"] == 0
+        assert counts["ok"] + counts["cached"] >= 1

@@ -6,6 +6,7 @@ execution is bit-identical to the process pool and to serial runs.
 """
 
 import json
+from contextlib import closing
 
 import pytest
 
@@ -38,19 +39,30 @@ def service(tmp_path):
         yield url
 
 
+@pytest.fixture
+def session(service):
+    with Session(service) as session:
+        yield session
+
+
+@pytest.fixture
+def transport(service):
+    with closing(HttpTransport(service)) as transport:
+        yield transport
+
+
 class TestRoutes:
-    def test_health(self, service):
-        health = Session(service).health()
+    def test_health(self, session):
+        health = session.health()
         assert health["status"] == "ok"
         assert health["api_version"] == 1
 
-    def test_store_stats_shape(self, service):
-        stats = Session(service).store_stats()
+    def test_store_stats_shape(self, session):
+        stats = session.store_stats()
         assert stats["store"]["backend"] == "sqlite"
         assert stats["executed"] == 0 and stats["pending"] == 0
 
-    def test_submit_wait_results(self, service):
-        session = Session(service)
+    def test_submit_wait_results(self, session):
         specs = [tiny_spec(load) for load in (0.05, 0.1)]
         campaign = session.submit_specs(specs, name="pair").wait(timeout=60)
         assert campaign.status == "done"
@@ -62,8 +74,7 @@ class TestRoutes:
             assert row["metrics"]["delivered"] == row["metrics"]["injected"]
             assert row["spec"]["workload"]["kind"] == "uniform"
 
-    def test_stream_ends_with_terminal_event(self, service):
-        session = Session(service)
+    def test_stream_ends_with_terminal_event(self, session):
         campaign = session.submit_specs([tiny_spec()], name="solo")
         events = list(campaign.stream())
         assert events[-1].terminal
@@ -72,16 +83,14 @@ class TestRoutes:
         assert len(job_events) == 1
         assert job_events[0].metrics is not None
 
-    def test_job_detail_carries_spec(self, service):
-        session = Session(service)
+    def test_job_detail_carries_spec(self, session):
         campaign = session.submit_specs([tiny_spec()], name="solo")
         campaign.wait(timeout=60)
         job = campaign.jobs.first()
         assert job is not None
         assert job.spec["config"]["protocol"] == "wormhole"
 
-    def test_single_job_submission(self, service):
-        transport = HttpTransport(service)
+    def test_single_job_submission(self, transport):
         spec = tiny_spec()
         out = transport.request(
             "POST", "/api/jobs", body={"spec": spec.to_dict()}
@@ -90,7 +99,7 @@ class TestRoutes:
         assert out["key"] == spec.key()
 
     def test_single_job_submission_decodes_its_spec_once(
-        self, service, monkeypatch
+        self, transport, monkeypatch
     ):
         decoded = []
         real = JobSpec.from_dict.__func__
@@ -99,7 +108,7 @@ class TestRoutes:
             classmethod(lambda cls, d: decoded.append(d) or real(cls, d)),
         )
         spec = tiny_spec()
-        out = HttpTransport(service).request(
+        out = transport.request(
             "POST", "/api/jobs",
             body={"spec": spec.to_dict(), "tenant": "alice", "priority": 3},
         )
@@ -110,8 +119,7 @@ class TestRoutes:
         # Unnamed, the one-job campaign is called after the spec's label.
         assert out["campaign"] == spec.label
 
-    def test_campaign_document_submission(self, service):
-        session = Session(service)
+    def test_campaign_document_submission(self, session):
         campaign = session.submit_campaign({
             "name": "doc",
             "defaults": {
@@ -126,8 +134,8 @@ class TestRoutes:
         assert campaign.data["jobs"] == 2
 
     def test_tenant_from_header(self, service):
-        session = Session(service, tenant="alice")
-        campaign = session.submit_specs([tiny_spec()], name="mine")
+        with Session(service, tenant="alice") as session:
+            campaign = session.submit_specs([tiny_spec()], name="mine")
         assert campaign.data["tenant"] == "alice"
 
     def test_cancel_queued_campaign(self, tmp_path):
@@ -136,8 +144,7 @@ class TestRoutes:
             port=0, store=f"sqlite:{tmp_path / 'store'}", workers=1,
             executor="thread", rate=0.000001, burst=1,
         )
-        with ServiceThread(config) as url:
-            session = Session(url)
+        with ServiceThread(config) as url, Session(url) as session:
             session.submit_specs([tiny_spec(0.01)], name="warm")  # takes token
             campaign = session.submit_specs(
                 [tiny_spec(load) for load in (0.05, 0.1)], name="stuck"
@@ -148,8 +155,7 @@ class TestRoutes:
 
 
 class TestServerSideDedup:
-    def test_second_campaign_is_pure_cache(self, service):
-        session = Session(service)
+    def test_second_campaign_is_pure_cache(self, session):
         specs = [tiny_spec(load) for load in (0.05, 0.1)]
         session.submit_specs(specs, name="first").wait(timeout=60)
         again = session.submit_specs(specs, name="second").wait(timeout=60)
@@ -159,39 +165,37 @@ class TestServerSideDedup:
 
     def test_dedup_crosses_tenants(self, service):
         spec = tiny_spec()
-        Session(service, tenant="alice").submit_specs(
-            [spec], name="a"
-        ).wait(timeout=60)
-        bob = Session(service, tenant="bob").submit_specs(
-            [spec], name="b"
-        ).wait(timeout=60)
-        assert bob.counts["cached"] == 1
+        with Session(service, tenant="alice") as alice:
+            alice.submit_specs([spec], name="a").wait(timeout=60)
+        with Session(service, tenant="bob") as bob:
+            again = bob.submit_specs([spec], name="b").wait(timeout=60)
+        assert again.counts["cached"] == 1
 
 
 class TestErrors:
-    def test_unknown_route_is_404(self, service):
+    def test_unknown_route_is_404(self, transport):
         with pytest.raises(ServiceError) as err:
-            HttpTransport(service).request("GET", "/api/nope")
+            transport.request("GET", "/api/nope")
         assert err.value.status == 404
 
-    def test_unknown_campaign_is_404(self, service):
+    def test_unknown_campaign_is_404(self, session):
         with pytest.raises(ServiceError) as err:
-            Session(service).get_campaign("c-9999")
+            session.get_campaign("c-9999")
         assert err.value.status == 404
 
-    def test_empty_submission_is_400(self, service):
+    def test_empty_submission_is_400(self, transport):
         with pytest.raises(ServiceError) as err:
-            HttpTransport(service).request(
+            transport.request(
                 "POST", "/api/campaigns", body={"specs": []}
             )
         assert err.value.status == 400
 
-    def test_malformed_campaign_document_is_400(self, service):
+    def test_malformed_campaign_document_is_400(self, session):
         with pytest.raises(ServiceError) as err:
-            Session(service).submit_campaign({"name": "empty"})
+            session.submit_campaign({"name": "empty"})
         assert err.value.status == 400
 
-    def test_misspelt_entry_key_is_400(self, service):
+    def test_misspelt_entry_key_is_400(self, session):
         document = {
             "defaults": {"dims": "4x4", "max_cycle": 10,
                          "workload": {"kind": "uniform", "load": 0.05,
@@ -199,13 +203,13 @@ class TestErrors:
             "jobs": [{}],
         }
         with pytest.raises(ServiceError) as err:
-            Session(service).submit_campaign(document)
+            session.submit_campaign(document)
         assert err.value.status == 400
         assert "max_cycle" in str(err.value)
 
-    def test_wrong_method_is_405(self, service):
+    def test_wrong_method_is_405(self, transport):
         with pytest.raises(ServiceError) as err:
-            HttpTransport(service).request("DELETE", "/api/campaigns")
+            transport.request("DELETE", "/api/campaigns")
         assert err.value.status == 405
 
     def test_invalid_json_body_is_400(self, service):
@@ -231,12 +235,11 @@ class TestRestartResume:
         spec = tiny_spec()
         config = ServiceConfig(port=0, store=store, workers=1,
                                executor="thread")
-        with ServiceThread(config) as url:
-            Session(url).submit_specs([spec], name="one").wait(timeout=60)
+        with ServiceThread(config) as url, Session(url) as session:
+            session.submit_specs([spec], name="one").wait(timeout=60)
         with ServiceThread(ServiceConfig(
             port=0, store=store, workers=1, executor="thread"
-        )) as url:
-            session = Session(url)
+        )) as url, Session(url) as session:
             again = session.submit_specs([spec], name="two").wait(timeout=60)
             assert again.counts["cached"] == 1
             assert session.store_stats()["executed"] == 0

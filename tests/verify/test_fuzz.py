@@ -84,6 +84,26 @@ def late_round_robin(monkeypatch):
     monkeypatch.setattr(VectorizedCore, "step", buggy)
 
 
+@pytest.fixture
+def late_work(monkeypatch):
+    """Seed a fast-core bug no final observable shows: the first time the
+    core does two or more units of work in a cycle it reports one of them
+    a cycle late.  Totals, counters and the final cycle stay equal; only
+    the per-cycle work trajectory differs from ``step_reference``."""
+    orig = VectorizedCore.step
+    held = {"late": 0, "done": False}
+
+    def buggy(self, cycle, order):
+        work = orig(self, cycle, order) + held["late"]
+        held["late"] = 0
+        if work >= 2 and not held["done"]:
+            held["late"], held["done"] = 1, True
+            work -= 1
+        return work
+
+    monkeypatch.setattr(VectorizedCore, "step", buggy)
+
+
 def _rearmost_wait_graph(network):
     """A buggy wait-graph builder: evaluates each worm at its REARMOST
     site (highest flit index) and records self-edges verbatim.
@@ -517,6 +537,32 @@ class TestDifferentialOracle:
         assert failure.shrunk.signature == "BackendDivergence"
         assert failure.shrunk.steps > 0
         assert failure_signature(failure.reproducer) == "BackendDivergence"
+
+    def test_final_observables_miss_the_late_work_mutant(self, late_work):
+        spec = generate_spec(self.MUTANT_VISIBLE, master_seed=0)
+        runs = []
+        for backend in ("active", "reference"):
+            job = runner.prepare_job(dataclasses.replace(
+                spec, config=dataclasses.replace(spec.config, backend=backend)
+            ))
+            runs.append((job, job.metrics(job.run())))
+        (fast, got), (ref, want) = runs
+        # The final-metrics oracle alone sees nothing...
+        assert first_difference(
+            {**got, "work_counter": fast.network.work_counter},
+            {**want, "work_counter": ref.network.work_counter},
+        ) is None
+        # ...the per-cycle trajectory does.
+        assert fast.harness.work_trajectory != ref.harness.work_trajectory
+
+    def test_execute_job_names_the_work_trajectory(self, late_work):
+        spec = generate_spec(self.MUTANT_VISIBLE, master_seed=0)
+        with pytest.raises(
+            BackendDivergence,
+            match=r"^work_trajectory is -?\d+ on active but -?\d+ on "
+                  r"reference$",
+        ):
+            execute_job(spec)
 
     @pytest.mark.parametrize(
         "backend,invariants_every,runs",
