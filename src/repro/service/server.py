@@ -14,7 +14,8 @@ cannot be parsed (answered 400, then closed).  The two JSONL routes
 until EOF -- so they announce ``Connection: close`` and end the
 connection.  A connection that stays silent between requests for
 ``IDLE_CONNECTION_S`` is closed, and :meth:`JobServer.stop` closes the
-idle ones at once.
+idle ones at once.  The same bound covers a request's body: a client
+that declares a length and then stalls is closed when it runs out.
 
 REST surface (see docs/SERVICE.md for the full contract)::
 
@@ -72,7 +73,7 @@ logger = get_logger("service")
 API_VERSION = 1
 MAX_BODY_BYTES = 256 << 20  # campaign documents can be large; specs are not
 MAX_HEADER_BYTES = 64 << 10
-IDLE_CONNECTION_S = 30.0  # a kept connection may idle this long
+IDLE_CONNECTION_S = 30.0  # a kept connection may idle (or stall) this long
 TENANT_HEADER = "x-repro-tenant"
 JSONL_EVENTS_PER_WRITE = 256
 
@@ -447,20 +448,23 @@ class JobServer:
     async def _serve_request(self, reader, writer) -> bool:
         """Answer one request; True when the connection can carry another."""
         self._idle.add(writer)
-        idle = asyncio.get_running_loop().call_later(
+        # One deadline for the whole request, head and body: a client
+        # that stalls inside a declared body is closed like an idle one.
+        deadline = asyncio.get_running_loop().call_later(
             IDLE_CONNECTION_S, writer.close
         )
         try:
             try:
                 head = await _read_head(reader)
-            finally:
-                idle.cancel()
                 self._idle.discard(writer)
-            if head is None:
-                return False  # hung up between requests: EOF, not an error
-            method, path, query, headers, body, keep_alive = (
-                await _read_request(head, reader)
-            )
+                if head is None:
+                    return False  # hung up between requests: not an error
+                method, path, query, headers, body, keep_alive = (
+                    await _read_request(head, reader)
+                )
+            finally:
+                deadline.cancel()
+                self._idle.discard(writer)
         except _HttpError as exc:
             # Where the next request would start is no longer known.
             await _Reply(writer, keep_alive=False).json(

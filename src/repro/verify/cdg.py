@@ -15,11 +15,13 @@ The paper's deadlock-freedom argument has two legs:
 
 This module checks both legs **statically**, from topology + routing +
 protocol configuration alone, with no simulation.  One walker,
-:func:`walk_dependencies`, visits every (src, dst) *endpoint* pair's
+:func:`walk_dependencies`, covers every (src, dst) *endpoint* pair's
 routes exactly as the runtime router would (the class/dateline
-discipline is queried from the routing object itself, so analyzer and
-runtime cannot drift) and builds a dependency graph over
-``(node, port, vc_class)`` vertices.  *Which* graph is decided by the
+discipline is queried from the routing object itself, and
+:func:`runtime_replay_check` replays the live router against it) and
+builds a dependency graph over ``(node, port, vc_class)`` vertices.
+Both visit each state once per destination, however many sources
+reach it.  *Which* graph is decided by the
 routing subfunction handed to it: the designated discipline
 (:class:`EscapeSubfunction` -- the plain CDG of a deterministic routing
 function, the *extended* escape CDG of an adaptive one, with escape
@@ -267,7 +269,10 @@ def walk_dependencies(routing: RoutingFunction, sub) -> tuple[Edges, bool]:
     sources: everything expanded from a state is a pure function of it
     and the destination (``options``, ``hop_bits``, ``minimal_ports``,
     ``neighbor``), so a state reached again from another source adds no
-    edge, vertex or dead end the first expansion did not.
+    edge, vertex or dead end the first expansion did not.  Only the chain
+    depends on ``last``: the rest of an expansion (option channels,
+    successors, free hops, dead ends) is computed once per ``(node,
+    bits)`` and destination, for every ``last`` it is reached with.
 
     Returns the graph and whether the subfunction is *connected*: every
     state the full relation reaches offers an option and every option
@@ -284,6 +289,8 @@ def walk_dependencies(routing: RoutingFunction, sub) -> tuple[Edges, bool]:
     # and including them would add dependencies no run can create.
     for dst in topology.endpoints():
         seen: set[tuple[int, int, Channel | None]] = set()
+        # (node, bits) -> (option channels, their successor states, free hops)
+        expansions: dict[tuple[int, int], tuple[list, list, list]] = {}
         for src in topology.endpoints():
             if src == dst:
                 continue
@@ -294,26 +301,34 @@ def walk_dependencies(routing: RoutingFunction, sub) -> tuple[Edges, bool]:
                 if node == dst or state in seen:
                     continue
                 seen.add(state)
-                options = options_at(node, dst, bits)
-                if not options:
-                    connected = False  # dead end short of the destination
-                for port, cls in options:
-                    chan = Channel(node, port, cls)
-                    edges.setdefault(chan, set())
-                    if last is not None and last != chan:
-                        edges[last].add(chan)
-                    nbr = neighbor(node, port)
-                    if nbr is None:
-                        connected = False
-                        continue
-                    stack.append((nbr, hop_bits(node, port, bits), chan))
-                if free_hops:
-                    for port in topology.minimal_ports(node, dst):
+                if (node, bits) not in expansions:
+                    chans, taken, free = expansions[node, bits] = [], [], []
+                    options = options_at(node, dst, bits)
+                    if not options:
+                        connected = False  # dead end short of the destination
+                    for port, cls in options:
+                        chan = Channel(node, port, cls)
+                        edges.setdefault(chan, set())
+                        chans.append(chan)
                         nbr = neighbor(node, port)
-                        if nbr is not None:
-                            stack.append(
-                                (nbr, hop_bits(node, port, bits), last)
-                            )
+                        if nbr is None:
+                            connected = False
+                            continue
+                        taken.append((nbr, hop_bits(node, port, bits), chan))
+                    if free_hops:
+                        for port in topology.minimal_ports(node, dst):
+                            nbr = neighbor(node, port)
+                            if nbr is not None:
+                                free.append((nbr, hop_bits(node, port, bits)))
+                chans, taken, free = expansions[node, bits]
+                if last is not None:
+                    out = edges[last]
+                    for chan in chans:
+                        if chan != last:
+                            out.add(chan)
+                stack += taken
+                for nbr, nbits in free:
+                    stack.append((nbr, nbits, last))
     return edges, connected
 
 
@@ -485,21 +500,38 @@ def runtime_replay_check(
     discipline to drift).  Any missing channel fails the config, which
     turns ``repro verify-cdg --all`` red instead of green-washing an
     analyzer/runtime divergence.
+
+    Each ``(node, dateline bits)`` state is replayed once per
+    destination: ``candidates()`` and ``note_hop()`` read nothing else
+    of the header, so the rest of a route is a pure function of that
+    state and ``dst``.  A route stops at the first state already
+    replayed (a suffix checked clean) and adds its channel uses, so the
+    first failing route, the channel it names and the count reported
+    (every use on every route) are those of replaying routes in full.
     """
     from repro.wormhole.flit import Flit
 
     vertices = set(edges).union(*edges.values())
     num_classes = routing.num_classes
+    endpoints = topology.endpoints()
+    # Per destination: (node, bits) -> channel uses from there to dst.
+    suffixes: dict[int, dict] = {dst: {} for dst in endpoints}
     replayed = 0
-    for src in topology.endpoints():
-        for dst in topology.endpoints():
+    for src in endpoints:
+        for dst in endpoints:
             if src == dst:
                 continue
+            memo = suffixes[dst]
             head = Flit(0, 0, is_head=True, is_tail=True, dst=dst)
-            node = src
+            node, walked, uses = src, [], 0
             while node != dst:
+                state = (node, head.dateline_bits)
+                if state in memo:
+                    uses = memo[state]
+                    break
                 tiers = routing.candidates(node, dst, head)
                 escape_tier = tiers[-1]  # DOR: only tier; adaptive: escape
+                here = 0
                 for port, vcs in escape_tier:
                     for vc in vcs:
                         chan = Channel(node, port, vc % num_classes)
@@ -511,7 +543,8 @@ def runtime_replay_check(
                                 f"{src}->{dst}) missing from the CDG: "
                                 "analyzer and router drifted",
                             )
-                        replayed += 1
+                        here += 1
+                walked.append((state, here))
                 # Advance along the escape path exactly as a worm
                 # committed to it would, updating the header history.
                 port, _vcs = escape_tier[0]
@@ -519,6 +552,10 @@ def runtime_replay_check(
                 nxt = topology.neighbor(node, port)
                 assert nxt is not None
                 node = nxt
+            for state, here in reversed(walked):  # back-fill the suffixes
+                uses += here
+                memo[state] = uses
+            replayed += uses
     return SeparationCheck(
         "runtime_replay", True,
         f"{replayed} runtime channel uses replayed through "

@@ -278,6 +278,27 @@ class TestStop:
             w.close()
         session.close()
 
+    def test_a_stalled_body_is_closed_at_the_deadline(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        """A head that declares a body the client never finishes sending
+        gets the idle bound too, so stop() finds nothing to cancel."""
+        monkeypatch.setattr(server_module, "IDLE_CONNECTION_S", 0.3)
+        thread = ServiceThread(config_for(tmp_path))
+        thread.start()
+        with caplog.at_level(logging.INFO):
+            w = Wire(thread)
+            start = time.monotonic()
+            w.send("POST /api/jobs HTTP/1.1\r\nHost: x\r\n"
+                   "Content-Length: 100\r\n\r\n{\"sp")
+            assert w.at_eof()  # blocks until the server hangs up
+            assert 0.2 <= time.monotonic() - start < 5
+            thread.stop()
+        w.close()
+        assert not thread._thread.is_alive()
+        assert [r for r in caplog.records if r.exc_info] == []
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+
 
 class TestClientSide:
     def test_restart_on_the_same_port_between_two_submissions(

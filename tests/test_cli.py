@@ -350,10 +350,16 @@ class TestVerifyCdg:
         assert "1/1 configurations deadlock-free" in out
 
     def test_all_shipped_configs_pass(self, capsys):
+        """The whole report, byte for byte, graph sizes and replay counts
+        included: the golden was written by the per-pair replay and the
+        walker without an expansion cache, so a speed-up of either must
+        leave it alone.  Never regenerate it to make a change pass."""
+        golden = Path(__file__).parent / "corpus" / "verify_cdg_all.txt"
         code = main(["verify-cdg", "--all"])
         assert code == 0
         out = capsys.readouterr().out
         assert "11/11 configurations deadlock-free" in out
+        assert out == golden.read_text()
 
     def test_cyclic_config_flagged(self, capsys):
         code = main([
