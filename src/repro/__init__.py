@@ -33,7 +33,6 @@ paper-versus-measured record.
 
 from repro.analysis import (
     ExperimentResult,
-    format_series,
     format_table,
     run_experiment,
     run_load_sweep,
@@ -44,7 +43,6 @@ from repro.core import (
     CircuitCache,
     CircuitClose,
     CircuitOpen,
-    WaveRouter,
 )
 from repro.errors import (
     ConfigError,
@@ -127,14 +125,12 @@ __all__ = [
     "TransposePattern",
     "UniformPattern",
     "WaveConfig",
-    "WaveRouter",
     "WormholeConfig",
     "all_to_all_workload",
     "build_topology",
     "check_all_invariants",
     "compile_directives",
     "derive_fault_rng",
-    "format_series",
     "format_table",
     "make_pattern",
     "run_experiment",

@@ -9,7 +9,7 @@ from repro.analysis.experiments import (
     run_seed_sweep,
 )
 from repro.analysis.timeline import TimelineTracker, TimelineWindow
-from repro.analysis.report import format_series, format_table
+from repro.analysis.report import format_table
 from repro.analysis.utilization import (
     UtilizationReport,
     UtilizationSnapshot,
@@ -27,7 +27,6 @@ __all__ = [
     "run_seed_sweep",
     "UtilizationReport",
     "UtilizationSnapshot",
-    "format_series",
     "format_table",
     "measure_utilization",
     "snapshot_utilization",

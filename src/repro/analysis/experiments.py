@@ -15,7 +15,6 @@ from repro.errors import SimulationError
 from repro.network.network import Network
 from repro.sim.config import NetworkConfig
 from repro.sim.engine import SimulationResult, Simulator
-from repro.sim.rng import SimRandom
 from repro.topology.faults import FaultSet
 
 
@@ -175,73 +174,6 @@ def run_load_sweep(
         for load, outcome in zip(loads, outcomes)
         if outcome.ok
     ]
-
-
-def run_dynamic_fault_sweep(
-    make_config,
-    make_workload,
-    mtbfs,
-    *,
-    protocols=("clrp", "carp", "wormhole"),
-    mttr: int = 0,
-    max_cycles: int = 60_000,
-    label: str = "E7b",
-    jobs: int = 1,
-    store=None,
-    progress=None,
-) -> dict:
-    """E7b: delivered throughput vs dynamic link-fault rate, per protocol.
-
-    Each sweep point runs the *same* traffic under a seeded random fault
-    campaign (links killed with network-wide mean ``mtbf`` cycles between
-    kills, healed after ``mttr`` cycles when nonzero), so any throughput
-    degradation is attributable to the faults.  Include ``0`` in
-    ``mtbfs`` for the fault-free baseline.
-
-    Args:
-        make_config: ``(protocol) -> NetworkConfig`` (fresh per point;
-            carries the seed that derives the fault schedule).
-        make_workload: ``(protocol) -> workload list``.
-        mtbfs: mean-cycles-between-kills points; ``0`` = no faults.
-        protocols: protocols to compare (paper's CLRP/CARP/wormhole).
-        jobs / store / progress: orchestrator knobs as in
-            :func:`run_load_sweep`.
-
-    Returns ``{protocol: [(mtbf, ExperimentResult), ...]}`` with failed
-    points omitted (their failure records live in the store / progress
-    events).
-    """
-    from repro.orchestrate import (
-        materialize_spec,
-        metrics_to_experiment_result,
-        run_jobs,
-    )
-
-    pairs = [(proto, mtbf) for proto in protocols for mtbf in mtbfs]
-    specs = [
-        materialize_spec(
-            make_config(proto),
-            make_workload(proto),
-            label=f"{label}/{proto}@mtbf={mtbf:g}",
-            max_cycles=max_cycles,
-            mtbf=mtbf,
-            mttr=mttr if mtbf else 0,
-        )
-        for proto, mtbf in pairs
-    ]
-    outcomes = run_jobs(specs, jobs=jobs, store=store, progress=progress)
-    out: dict = {proto: [] for proto in protocols}
-    for (proto, mtbf), outcome in zip(pairs, outcomes):
-        if outcome.ok:
-            out[proto].append(
-                (mtbf, metrics_to_experiment_result(outcome.metrics))
-            )
-    return out
-
-
-def derive_seeded_rng(seed: int, label: str) -> SimRandom:
-    """Convenience for benchmarks needing workload RNGs per sweep point."""
-    return SimRandom(seed).fork(label)
 
 
 def find_saturation_load(

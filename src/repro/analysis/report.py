@@ -35,7 +35,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
         lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
 
-
-def format_series(name: str, xs: Sequence, ys: Sequence) -> str:
-    """Render one (x, y) series as two aligned columns."""
-    return format_table([name, "value"], list(zip(xs, ys)))

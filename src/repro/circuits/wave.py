@@ -193,21 +193,3 @@ class WaveTransfer:
             completed_at=last_sent + self.rtt,
         )
 
-
-def recommended_window(topology, config) -> int:
-    """Smallest window that never throttles any circuit on this machine.
-
-    Section 2: "a windowing protocol with a longer window should be used.
-    A longer window also requires deeper buffers" -- the window must cover
-    the in-flight volume of the worst-case circuit, i.e. the ack round
-    trip of a diameter-length path at the full streaming rate.  A small
-    slack absorbs the per-cycle granularity of the accumulator.
-
-    Args:
-        topology: the machine's topology (for the diameter).
-        config: the :class:`~repro.sim.config.WaveConfig` in use.
-    """
-    import math
-
-    rtt = 2 * topology.diameter() * config.wire_delay
-    return int(math.ceil(config.flits_per_cycle * rtt)) + 4

@@ -1,15 +1,12 @@
 """Typed fluent client for the simulation job service.
 
-:class:`Session` (blocking) and :class:`AsyncSession` (asyncio) talk to
-a running ``repro serve`` instance; campaigns are built fluently and
-jobs are queried through chainable lazy collections.  See
-:mod:`repro.client.session` for the full tour and docs/SERVICE.md for
-the quickstart.
+:class:`Session` talks to a running ``repro serve`` instance; campaigns
+are built fluently and jobs are queried through chainable lazy
+collections.  See :mod:`repro.client.session` for the full tour and
+docs/SERVICE.md for the quickstart.
 """
 
 from repro.client.session import (
-    AsyncCampaign,
-    AsyncSession,
     Campaign,
     CampaignBuilder,
     Job,
@@ -22,8 +19,6 @@ from repro.client.session import (
 )
 
 __all__ = [
-    "AsyncCampaign",
-    "AsyncSession",
     "Campaign",
     "CampaignBuilder",
     "Job",

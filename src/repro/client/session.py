@@ -25,20 +25,17 @@ filters::
 
 Collections never fetch until iterated; filters compose server-side
 (plain field equality the API supports) and client-side (dotted paths
-and callables).  :class:`AsyncSession` is the asyncio variant of the
-same surface for embedding in event-loop code.
+and callables).
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
 from dataclasses import dataclass
-from typing import AsyncIterator, Callable, Iterator
+from typing import Callable, Iterator
 
 from repro.client.transport import (
     RETRYABLE_ERRORS,
-    AsyncHttpTransport,
     HttpTransport,
     ServiceError,
     StreamInterrupted,
@@ -47,8 +44,6 @@ from repro.client.transport import (
 )
 
 __all__ = [
-    "AsyncCampaign",
-    "AsyncSession",
     "Campaign",
     "CampaignBuilder",
     "Job",
@@ -540,129 +535,3 @@ class Session:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-class AsyncCampaign:
-    """Asyncio view of a submitted campaign."""
-
-    def __init__(self, session: "AsyncSession", data: dict) -> None:
-        self._session = session
-        self.data = data
-
-    @property
-    def id(self) -> str:
-        return self.data["id"]
-
-    @property
-    def status(self) -> str:
-        return self.data["status"]
-
-    async def refresh(self) -> "AsyncCampaign":
-        self.data = await self._session._transport.request(
-            "GET", f"/api/campaigns/{self.id}"
-        )
-        return self
-
-    async def stream(
-        self, *, reconnect: bool | None = None
-    ) -> AsyncIterator[JobEvent]:
-        """Self-healing event stream (asyncio mirror of
-        :meth:`Campaign.stream`): reconnects with the ``?since=`` cursor
-        so each event is yielded exactly once across server restarts."""
-        session = self._session
-        if reconnect is None:
-            reconnect = session.reconnect
-        since = 0
-        delays = None
-        while True:
-            try:
-                async for line in session._transport.stream(
-                    f"/api/campaigns/{self.id}/stream",
-                    params={"since": since} if since else None,
-                ):
-                    event = JobEvent.from_dict(line)
-                    if event.seq is not None:
-                        since = event.seq + 1
-                    delays = None
-                    yield event
-                    if event.terminal:
-                        return
-                last: Exception = StreamInterrupted(
-                    "stream ended before the campaign finished"
-                )
-            except RETRYABLE_ERRORS as exc:
-                last = exc
-            if not reconnect:
-                raise last
-            if delays is None:
-                delays = backoff_delays(
-                    session.reconnect_attempts,
-                    base=session.reconnect_backoff_s,
-                )
-            delay = next(delays, None)
-            if delay is None:
-                raise last
-            await asyncio.sleep(delay)
-
-    async def wait(self) -> "AsyncCampaign":
-        async for event in self.stream():
-            if event.terminal:
-                _finish(self.data, event)
-                break
-        return self
-
-    async def jobs(self, **filters) -> list[dict]:
-        data = await self._session._transport.request(
-            "GET", f"/api/campaigns/{self.id}/jobs",
-            params=filters or None,
-        )
-        return data["jobs"]
-
-    async def cancel(self) -> dict:
-        return await self._session._transport.request(
-            "POST", f"/api/campaigns/{self.id}/cancel"
-        )
-
-
-class AsyncSession:
-    """Asyncio variant of :class:`Session` (same REST surface)."""
-
-    def __init__(
-        self,
-        base_url: str = "http://127.0.0.1:8642",
-        *,
-        tenant: str | None = None,
-        reconnect: bool = True,
-        reconnect_attempts: int = 8,
-        reconnect_backoff_s: float = 0.25,
-    ) -> None:
-        self._transport = AsyncHttpTransport(base_url, tenant=tenant)
-        self.reconnect = reconnect
-        self.reconnect_attempts = reconnect_attempts
-        self.reconnect_backoff_s = reconnect_backoff_s
-
-    async def health(self) -> dict:
-        return await self._transport.request("GET", "/health")
-
-    async def store_stats(self) -> dict:
-        return await self._transport.request("GET", "/api/store")
-
-    async def submit_campaign(
-        self,
-        document: dict,
-        *,
-        tenant: str | None = None,
-        priority: int = 0,
-    ) -> AsyncCampaign:
-        body = {"document": document, "priority": priority}
-        if tenant:
-            body["tenant"] = tenant
-        data = await self._transport.request(
-            "POST", "/api/campaigns", body=body
-        )
-        return AsyncCampaign(self, data)
-
-    async def get_campaign(self, ident: str) -> AsyncCampaign:
-        data = await self._transport.request(
-            "GET", f"/api/campaigns/{ident}"
-        )
-        return AsyncCampaign(self, data)

@@ -1,13 +1,10 @@
-"""HTTP transports for the fluent client: blocking and asyncio.
+"""The HTTP transport for the fluent client.
 
-Both speak the job server's dialect (:mod:`repro.service.server`):
-JSON request/response bodies framed by ``Content-Length``, and JSONL
-streams framed by connection close.  The blocking transport rides
-stdlib ``http.client`` and keeps its JSON connections up between
-requests (a stream always gets a connection of its own, since reading
-it to the end closes it); the async one rides
-``asyncio.open_connection`` with the same minimal HTTP/1.1 the server
-itself uses and asks for ``Connection: close`` on every request.
+It speaks the job server's dialect (:mod:`repro.service.server`): JSON
+request/response bodies framed by ``Content-Length``, and JSONL streams
+framed by connection close.  It rides stdlib ``http.client`` and keeps
+its JSON connections up between requests (a stream always gets a
+connection of its own, since reading it to the end closes it).
 Everything above this module (sessions, elements, collections) is
 transport-agnostic.
 
@@ -17,7 +14,7 @@ Failure taxonomy (what the retry/reconnect layers classify on):
   Never retried: the request reached a live server and was rejected.
 * :class:`TransportError` -- the connection failed before a valid
   response (refused, reset, closed pre-status-line, malformed head).
-  Retryable for idempotent requests; the blocking transport retries
+  Retryable for idempotent requests; the transport retries
   GETs itself with capped exponential backoff + jitter.
 * :class:`StreamInterrupted` -- a live JSONL stream died mid-flight
   (connection drop, idle-read timeout).  The session layer reconnects
@@ -26,7 +23,6 @@ Failure taxonomy (what the retry/reconnect layers classify on):
 
 from __future__ import annotations
 
-import asyncio
 import http.client
 import json
 import random
@@ -34,7 +30,7 @@ import select
 import socket
 import time
 import urllib.parse
-from typing import AsyncIterator, Iterator
+from typing import Iterator
 
 
 class ServiceError(RuntimeError):
@@ -277,112 +273,3 @@ class HttpTransport:
                 resp.close()  # a close-framed response owns the socket
             conn.close()
 
-
-class AsyncHttpTransport:
-    """Asyncio transport: the same dialect over stream reader/writers."""
-
-    def __init__(self, base_url: str, *, tenant: str | None = None) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.host, self.port = _split_url(self.base_url)
-        self.tenant = tenant
-
-    async def _open(self, method: str, path: str,
-                    body: dict | None) -> tuple:
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        payload = json.dumps(body).encode() if body is not None else b""
-        head = [
-            f"{method} {path} HTTP/1.1",
-            f"Host: {self.host}:{self.port}",
-            "Accept: application/json",
-            "Connection: close",
-        ]
-        if self.tenant:
-            head.append(f"X-Repro-Tenant: {self.tenant}")
-        if payload:
-            head.append("Content-Type: application/json")
-            head.append(f"Content-Length: {len(payload)}")
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + payload)
-        await writer.drain()
-        status_line = await reader.readline()
-        parts = status_line.split()
-        if len(parts) < 2 or not parts[1].isdigit():
-            # Server closed (or garbled) the connection before writing a
-            # status line -- a restart mid-request.  Classify it cleanly
-            # instead of letting IndexError/ValueError escape.
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-            if not status_line:
-                raise TransportError(
-                    "server closed the connection before sending a response"
-                )
-            raise TransportError(
-                f"malformed HTTP status line: {status_line[:80]!r}"
-            )
-        status = int(parts[1])
-        while True:  # skip response headers; framing is close-delimited
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-        return reader, writer, status
-
-    async def request(
-        self,
-        method: str,
-        path: str,
-        *,
-        body: dict | None = None,
-        params: dict | None = None,
-    ) -> dict:
-        reader, writer, status = await self._open(
-            method, path + _qs(params), body
-        )
-        try:
-            data = await reader.read()
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-        parsed = json.loads(data) if data else {}
-        if status >= 400:
-            raise ServiceError(
-                status, parsed.get("error", data.decode()[:200])
-            )
-        return parsed
-
-    async def stream(
-        self, path: str, *, params: dict | None = None
-    ) -> AsyncIterator[dict]:
-        reader, writer, status = await self._open(
-            "GET", path + _qs(params), None
-        )
-        try:
-            if status >= 400:
-                data = await reader.read()
-                try:
-                    message = json.loads(data).get("error", "")
-                except json.JSONDecodeError:
-                    message = data.decode()[:200]
-                raise ServiceError(status, message)
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionError, OSError) as exc:
-                    raise StreamInterrupted(
-                        f"stream connection lost: {exc}"
-                    ) from None
-                if not line:
-                    return
-                line = line.strip()
-                if line:
-                    yield json.loads(line)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass

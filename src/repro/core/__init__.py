@@ -11,8 +11,6 @@
   3.2): explicit open/close directives.
 * :mod:`repro.core.baseline` -- the wormhole-only engine used as the
   comparison baseline in every benchmark.
-* :mod:`repro.core.wave_router` -- the hybrid router of Fig. 2 as a
-  structural composition (S0 + S1..Sk + both routing control units).
 """
 
 from repro.core.baseline import WormholeOnlyEngine
@@ -27,7 +25,6 @@ from repro.core.replacement import (
     ReplacementPolicy,
     make_replacement,
 )
-from repro.core.wave_router import WaveRouter
 
 __all__ = [
     "CARPEngine",
@@ -43,7 +40,6 @@ __all__ = [
     "LRUReplacement",
     "RandomReplacement",
     "ReplacementPolicy",
-    "WaveRouter",
     "WormholeOnlyEngine",
     "make_replacement",
 ]

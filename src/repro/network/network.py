@@ -20,7 +20,6 @@ from repro.core.carp import CARPEngine, CircuitClose, CircuitOpen
 from repro.core.circuit_cache import CircuitCache
 from repro.core.clrp import CLRPEngine
 from repro.core.replacement import make_replacement
-from repro.core.wave_router import WaveRouter
 from repro.errors import ConfigError
 from repro.network.activity import ActivityTracker
 from repro.network.interface import NetworkInterface
@@ -102,7 +101,6 @@ class Network:
 
         # Wave plane and protocol engines.
         self.plane: WavePlane | None = None
-        self.wave_routers: list[WaveRouter] = []
         if config.protocol == "wormhole":
             for ni in self.interfaces:
                 ni.set_engine(
@@ -125,10 +123,6 @@ class Network:
                 )
                 ni.set_engine(engine)
                 self.plane.register_engine(ni.node, engine)
-            self.wave_routers = [
-                WaveRouter(self.routers[n], self.plane.units[n])
-                for n in range(self.topology.num_nodes)
-            ]
 
         # Struct-of-arrays stepping core, built lazily on the first step
         # with a busy router (after all wiring above is final).

@@ -1,4 +1,4 @@
-"""Workload generation: traffic patterns, synthetic workloads, traces.
+"""Workload generation: traffic patterns and synthetic workloads.
 
 The paper's protocols respond only to the (src, dst, length, time) stream
 of messages, so workloads here are plain sorted lists of
@@ -14,8 +14,7 @@ compiler is involved), which :class:`~repro.sim.engine.Simulator` pumps.
   standing in for the real application traces the paper defers to;
 * :mod:`repro.traffic.compiler` -- the CARP "compiler": a static analyser
   that scans a message stream and emits CircuitOpen/CircuitClose
-  directives for pairs with enough temporal locality;
-* :mod:`repro.traffic.trace` -- record/replay of message streams.
+  directives for pairs with enough temporal locality.
 """
 
 from repro.traffic.compiler import CompilerReport, compile_directives
@@ -39,7 +38,6 @@ from repro.traffic.patterns import (
     UniformPattern,
     make_pattern,
 )
-from repro.traffic.trace import load_trace, save_trace
 from repro.traffic.workloads import (
     all_to_all_workload,
     dsm_workload,
@@ -70,12 +68,10 @@ __all__ = [
     "all_to_all_workload",
     "compile_directives",
     "dsm_workload",
-    "load_trace",
     "make_pattern",
     "master_worker_workload",
     "merge_streams",
     "pair_stream_workload",
-    "save_trace",
     "stencil_workload",
     "uniform_workload",
 ]

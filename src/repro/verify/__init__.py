@@ -56,13 +56,11 @@ from repro.verify.smt import (
     check_certificate,
     check_certificate_files,
     format_report,
-    have_z3,
     rejection_jobspecs,
     verify_config,
 )
 from repro.verify.progress import (
     ProbeWorkMonitor,
-    ProgressMonitor,
     max_message_age,
 )
 from repro.verify.waitgraph import WaitGraph, build_wait_graph
@@ -74,7 +72,6 @@ __all__ = [
     "InvariantHarness",
     "OrderingReport",
     "ProbeWorkMonitor",
-    "ProgressMonitor",
     "SmtReport",
     "WaitGraph",
     "analyze_config",
@@ -92,7 +89,6 @@ __all__ = [
     "format_report",
     "fuzz_campaign",
     "generate_spec",
-    "have_z3",
     "load_spec",
     "max_message_age",
     "rejection_jobspecs",

@@ -66,65 +66,3 @@ def max_message_age(network: "Network") -> int:
     ]
     return max(ages, default=0)
 
-
-class ProgressMonitor:
-    """Classifies the network's per-cycle state for livelock detection.
-
-    Unlike the engine's raw progress timeout, this monitor distinguishes
-    *why* no work is happening:
-
-    * ``"progressing"`` -- the work counter moved since the last observe;
-    * ``"idle"`` -- nothing in flight (not a stall);
-    * ``"fault_recovery"`` -- no work this instant, but the reliability
-      layer holds unacked messages whose retransmission timers guarantee
-      bounded future work (a retransmit or a DeliveryFailure);
-    * ``"stalled"`` -- messages outstanding, no work, no recovery timer:
-      the only state that counts toward the livelock threshold.
-
-    ``check()`` raises :class:`~repro.errors.LivelockError` once the
-    network has been continuously ``"stalled"`` for ``stall_threshold``
-    observed cycles.
-    """
-
-    def __init__(self, network: "Network", stall_threshold: int = 1000) -> None:
-        if stall_threshold < 1:
-            raise LivelockError(
-                f"stall_threshold must be >= 1, got {stall_threshold}"
-            )
-        self.network = network
-        self.stall_threshold = stall_threshold
-        self._last_counter = network.work_counter
-        self._stalled_since = network.cycle
-        self.state = "idle"
-
-    def observe(self) -> str:
-        """Classify the current cycle and update the stall anchor."""
-        net = self.network
-        counter = net.work_counter
-        recovery = getattr(net, "recovery_pending", None)
-        if counter != self._last_counter:
-            self._last_counter = counter
-            self._stalled_since = net.cycle
-            self.state = "progressing"
-        elif net.is_idle():
-            self._stalled_since = net.cycle
-            self.state = "idle"
-        elif recovery is not None and recovery():
-            self._stalled_since = net.cycle
-            self.state = "fault_recovery"
-        else:
-            self.state = "stalled"
-        return self.state
-
-    def stalled_for(self) -> int:
-        return self.network.cycle - self._stalled_since
-
-    def check(self) -> None:
-        """Observe, then raise if continuously stalled past the threshold."""
-        if self.observe() == "stalled" and self.stalled_for() >= self.stall_threshold:
-            raise LivelockError(
-                f"network stalled (no work, no recovery pending) for "
-                f"{self.stalled_for()} cycles with "
-                f"{self.network.outstanding_messages()} messages outstanding "
-                f"at cycle {self.network.cycle}"
-            )

@@ -85,11 +85,6 @@ except ImportError:  # pragma: no cover - exercised by the no-z3 CI job
 CERT_FORMAT = "repro-cdg-cert/1"
 
 
-def have_z3() -> bool:
-    """True when the optional ``z3-solver`` backend is importable."""
-    return _z3 is not None
-
-
 # -- channel (de)serialisation -------------------------------------------
 
 

@@ -2,7 +2,7 @@
 
 import math
 
-from repro.analysis.report import format_series, format_table
+from repro.analysis.report import format_table
 
 
 class TestFormatTable:
@@ -26,10 +26,3 @@ class TestFormatTable:
         out = format_table(["a", "b"], [[1, 2]])
         assert set(out.splitlines()[1]) <= {"-", " "}
 
-
-class TestFormatSeries:
-    def test_two_columns(self):
-        out = format_series("load", [0.1, 0.2], [5.0, 9.0])
-        lines = out.splitlines()
-        assert len(lines) == 4
-        assert "load" in lines[0]

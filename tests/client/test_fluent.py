@@ -1,6 +1,4 @@
-"""Fluent client surface: builders, lazy collections, async session."""
-
-import asyncio
+"""Fluent client surface: builders, lazy collections."""
 
 import pytest
 
@@ -150,36 +148,3 @@ class TestJobEvent:
         assert _lookup(data, "flat") == 1
         assert _lookup(data, "metrics.missing.deep") is None
 
-
-class TestAsyncSession:
-    def test_async_submit_stream_wait(self, service):
-        from repro.client import AsyncSession
-
-        async def scenario():
-            session = AsyncSession(service)
-            health = await session.health()
-            assert health["status"] == "ok"
-            campaign = await session.submit_campaign({
-                "name": "async",
-                "defaults": {
-                    "dims": "4x4", "protocol": "wormhole",
-                    "max_cycles": 20_000,
-                    "workload": {"kind": "uniform", "load": 0.05,
-                                 "length": 8, "duration": 150},
-                },
-                "grid": {"seed": [0, 1]},
-            })
-            events = []
-            async for event in campaign.stream():
-                events.append(event)
-                if event.terminal:
-                    break
-            await campaign.refresh()
-            jobs = await campaign.jobs(status="ok")
-            return events, campaign.status, jobs
-
-        events, status, jobs = asyncio.run(scenario())
-        assert status == "done"
-        assert events[-1].terminal
-        assert len([e for e in events if e.event == "job"]) == 2
-        assert len(jobs) == 2

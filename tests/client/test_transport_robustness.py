@@ -7,7 +7,6 @@ failure taxonomy: clean classifiable errors, automatic retry of
 idempotent requests, and exactly-once resumption via ``?since=``.
 """
 
-import asyncio
 import json
 import re
 import socket
@@ -22,12 +21,7 @@ from repro.client import (
     StreamInterrupted,
     TransportError,
 )
-from repro.client.session import AsyncSession
-from repro.client.transport import (
-    AsyncHttpTransport,
-    HttpTransport,
-    backoff_delays,
-)
+from repro.client.transport import HttpTransport, backoff_delays
 
 
 class ScriptedServer:
@@ -117,33 +111,6 @@ def scripted():
 
 
 class TestPrematureClose:
-    def test_async_close_before_status_line_is_clean_error(self, scripted):
-        """Historically an opaque IndexError from ''.split()[1]."""
-        server = scripted(lambda conn, n: read_request(conn))  # then close
-
-        async def go():
-            transport = AsyncHttpTransport(server.url)
-            with pytest.raises(TransportError) as err:
-                await transport.request("GET", "/health")
-            assert "closed the connection" in str(err.value)
-
-        asyncio.run(go())
-
-    def test_async_garbled_status_line_is_clean_error(self, scripted):
-        def handler(conn, n):
-            read_request(conn)
-            conn.sendall(b"garbage that is not HTTP\r\n\r\n")
-
-        server = scripted(handler)
-
-        async def go():
-            transport = AsyncHttpTransport(server.url)
-            with pytest.raises(TransportError) as err:
-                await transport.request("GET", "/health")
-            assert "malformed" in str(err.value)
-
-        asyncio.run(go())
-
     def test_blocking_close_before_status_line_is_transport_error(
         self, scripted
     ):
@@ -151,6 +118,19 @@ class TestPrematureClose:
         transport = HttpTransport(server.url, retries=0)
         with pytest.raises(TransportError):
             transport.request("GET", "/health")
+
+    def test_blocking_garbled_status_line_is_transport_error(self, scripted):
+        def handler(conn, n):
+            read_request(conn)
+            conn.sendall(b"garbage that is not HTTP\r\n\r\n")
+
+        server = scripted(handler)
+        transport = HttpTransport(server.url, retries=0)
+        with pytest.raises(TransportError) as err:
+            transport.request("GET", "/health")
+        assert err.value.status == 0  # no response at all: retryable
+        assert "BadStatusLine" in str(err.value)
+        assert server.connections == 1
 
 
 class TestIdempotentRetry:
@@ -416,33 +396,6 @@ class TestSessionReconnect:
         with pytest.raises(StreamInterrupted):
             list(Campaign(session, {"id": "c-1", "name": "x"}).stream())
         assert server.connections == 3  # 1 try + 2 reconnects
-
-    def test_async_stream_resumes_with_since_cursor(self, scripted):
-        def handler(conn, n):
-            read_request(conn)
-            conn.sendall(b"HTTP/1.1 200 X\r\nConnection: close\r\n\r\n")
-            if n == 1:
-                conn.sendall(json.dumps(self._event(0)).encode() + b"\n")
-            else:
-                conn.sendall(json.dumps(self._event(1)).encode() + b"\n")
-                conn.sendall(
-                    b'{"event": "end", "status": "done", "counts": {}}\n'
-                )
-
-        server = scripted(handler)
-
-        async def go():
-            session = AsyncSession(
-                server.url, reconnect_backoff_s=0.01
-            )
-            from repro.client.session import AsyncCampaign
-
-            campaign = AsyncCampaign(session, {"id": "c-1", "name": "x"})
-            return [e async for e in campaign.stream()]
-
-        events = asyncio.run(go())
-        seqs = [e.seq for e in events if e.event == "job"]
-        assert seqs == [0, 1]
 
 
 class TestBackoff:

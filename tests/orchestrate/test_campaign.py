@@ -127,6 +127,7 @@ class TestOneDecoder:
     @pytest.mark.parametrize("name, jobs, digest", [
         ("clrp_load_sweep", 10, "85d9588c40f5219e"),
         ("service_demo", 12, "a0089a02b124be13"),
+        ("e7b_dynamic_faults", 10, "a3bab73998a865a1"),
     ])
     def test_shipped_campaigns_keep_their_keys(self, name, jobs, digest):
         """Digests of the content keys the pre-merge decoder produced."""

@@ -6,7 +6,6 @@ The raw-socket half speaks HTTP by hand so that what is asserted is the
 bytes on the wire, not what ``http.client`` makes of them.
 """
 
-import asyncio
 import dataclasses
 import json
 import logging
@@ -18,7 +17,6 @@ import time
 import pytest
 
 from repro.client import Session
-from repro.client.session import AsyncSession
 from repro.service import server as server_module
 from repro.service.server import ServiceConfig, ServiceThread
 
@@ -417,17 +415,3 @@ class TestWaitEndsOnTheEndEvent:
             assert waited == campaign.refresh().data
             assert waited["status"] == status
             assert sum(waited["counts"].values()) == waited["jobs"]
-
-    @pytest.mark.parametrize("status", ["done", "failed", "cancelled"])
-    def test_async(self, outcomes, status):
-        url, ids = outcomes
-
-        async def go():
-            session = AsyncSession(url)
-            campaign = await session.get_campaign(ids[status])
-            campaign.data = dict(campaign.data, status="running", counts={})
-            waited = dict((await campaign.wait()).data)
-            assert waited == (await campaign.refresh()).data
-            assert waited["status"] == status
-
-        asyncio.run(go())

@@ -145,6 +145,59 @@ class TestMonitors:
         assert refreshes == [net.cycle]
 
 
+
+class RecoveringStubNetwork(StubNetwork):
+    """Busy but never working, with a retransmission timer pending until
+    cycle ``recovery_until`` -- the reliability layer's bounded wait."""
+
+    def __init__(self, recovery_until):
+        super().__init__(drain_lag=10**6, work_every=10**9)
+        self.recovery_until = recovery_until
+
+    def recovery_pending(self):
+        return self.cycle < self.recovery_until
+
+
+class TestFaultRecoveryDefersLivelock:
+    """Waiting out a retransmission timeout is recovery, not livelock: the
+    progress timeout counts only cycles with no work and no recovery
+    pending."""
+
+    def test_no_raise_while_recovery_pending(self):
+        net = RecoveringStubNetwork(recovery_until=10**9)
+        sim = Simulator(net, [StubItem(0)], progress_timeout=5)
+        result = sim.run(200)
+        assert not result.completed
+        assert net.cycle == 200
+
+    def test_raises_once_timeout_passes_after_recovery_clears(self):
+        net = RecoveringStubNetwork(recovery_until=50)
+        sim = Simulator(net, [StubItem(0)], progress_timeout=5)
+        sim.run(50)  # last recovery observation at cycle 49
+        with pytest.raises(LivelockError, match="no work performed for 5"):
+            sim.run(100)
+        assert net.cycle == 54
+
+    def test_recovery_reopening_restarts_the_stall_count(self):
+        # Three stalled cycles (10..12) between two recovery windows stay
+        # under the timeout; the count restarts from the second window.
+        net = RecoveringStubNetwork(recovery_until=10)
+        net.recovery_pending = lambda: net.cycle < 10 or 13 <= net.cycle < 15
+        sim = Simulator(net, [StubItem(0)], progress_timeout=5)
+        with pytest.raises(LivelockError, match="no work performed for 5"):
+            sim.run(100)
+        assert net.cycle == 19
+
+    def test_idle_network_never_raises(self):
+        # Nothing in flight for 500 cycles: idle is not stalled, even with
+        # fast-forward off so every idle cycle is stepped and checked.
+        net = StubNetwork(work_every=10**9)
+        sim = Simulator(net, [StubItem(1000)], progress_timeout=5,
+                        fast_forward=False)
+        sim.run(500)
+        assert net.cycle == 500 and net.injected == []
+
+
 class TestResultShape:
     def test_summary_mentions_state(self):
         net = StubNetwork()

@@ -9,7 +9,7 @@ from repro.sim.config import NetworkConfig, WaveConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import SimRandom
 from repro.traffic import UniformPattern, uniform_workload
-from repro.verify import ProbeWorkMonitor, ProgressMonitor, max_message_age
+from repro.verify import ProbeWorkMonitor, max_message_age
 
 
 class TestProbeWorkMonitor:
@@ -93,61 +93,6 @@ class TestMessageAgeIdle:
         assert max_message_age(net) == 0
         net.run(50)  # stays zero no matter how long it idles
         assert max_message_age(net) == 0
-
-
-class _StubNetwork:
-    """Minimal surface the ProgressMonitor reads."""
-
-    def __init__(self):
-        self.work_counter = 0
-        self.cycle = 0
-        self.idle = False
-        self.recovery = False
-
-    def is_idle(self):
-        return self.idle
-
-    def recovery_pending(self):
-        return self.recovery
-
-    def outstanding_messages(self):
-        return 1
-
-
-class TestProgressMonitor:
-    def test_classifications(self):
-        net = _StubNetwork()
-        mon = ProgressMonitor(net, stall_threshold=10)
-        net.work_counter, net.cycle = 1, 1
-        assert mon.observe() == "progressing"
-        net.cycle = 2
-        assert mon.observe() == "stalled"
-        net.recovery, net.cycle = True, 3
-        assert mon.observe() == "fault_recovery"
-        net.recovery, net.idle, net.cycle = False, True, 4
-        assert mon.observe() == "idle"
-
-    def test_check_raises_once_threshold_reached(self):
-        net = _StubNetwork()
-        mon = ProgressMonitor(net, stall_threshold=5)
-        for cycle in range(1, 5):
-            net.cycle = cycle
-            mon.check()  # stalled, but under the threshold
-        net.cycle = 6
-        with pytest.raises(LivelockError):
-            mon.check()
-
-    def test_fault_recovery_defers_livelock(self):
-        net = _StubNetwork()
-        net.recovery = True
-        mon = ProgressMonitor(net, stall_threshold=5)
-        for cycle in range(1, 50):
-            net.cycle = cycle
-            mon.check()  # recovery pending: anchor keeps moving
-        net.recovery = False
-        net.cycle = 54  # 5 cycles past the last recovery observation
-        with pytest.raises(LivelockError):
-            mon.check()
 
 
 class TestEngineProgressTimeout:

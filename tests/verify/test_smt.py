@@ -32,13 +32,15 @@ from repro.verify.smt import (
     dump_certificate,
     format_report,
     graph_fingerprint,
-    have_z3,
     load_certificate,
     rejection_jobspecs,
     solve_ranks,
     solve_ranks_native,
 )
 from repro.wormhole.routing import make_routing
+
+# The optional z3 cross-check backend: a skip guard for the z3-only tests.
+HAVE_Z3 = smt._z3 is not None
 
 
 def verify_config(*args, **kwargs):
@@ -80,7 +82,7 @@ class TestLegsAgreeOnShipped:
     @pytest.mark.parametrize(
         "config", _shipped_verify_configs(), ids=shipped_ids()
     )
-    @pytest.mark.skipif(not have_z3(), reason="z3-solver not installed")
+    @pytest.mark.skipif(not HAVE_Z3, reason="z3-solver not installed")
     def test_z3_agrees_with_native(self, config):
         native = verify_config(config, engine="native")
         z3r = verify_config(config, engine="z3")
@@ -102,7 +104,7 @@ class TestLegsAgreeOnShipped:
         assert smt.cycle == search.cycle
         assert check_certificate(smt.certificate).ok
 
-    @pytest.mark.skipif(not have_z3(), reason="z3-solver not installed")
+    @pytest.mark.skipif(not HAVE_Z3, reason="z3-solver not installed")
     def test_z3_refutes_negative_case_too(self):
         config = _wormhole("torus", (4, 4))
         smt = verify_config(config, assume_classes=1, engine="z3")
@@ -257,7 +259,7 @@ class TestEngineSelection:
         with pytest.raises(ConfigError, match="unknown SMT engine"):
             verify_config(_wormhole("mesh", (4, 4)), engine="cvc5")
 
-    @pytest.mark.skipif(have_z3(), reason="only meaningful without z3")
+    @pytest.mark.skipif(HAVE_Z3, reason="only meaningful without z3")
     def test_z3_engine_degrades_with_clear_error(self):
         with pytest.raises(ConfigError, match="z3-solver is not installed"):
             verify_config(_wormhole("mesh", (4, 4)), engine="z3")
